@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 # Table-style predictor names accepted on the command line alongside the
 # raw signal column names.
@@ -110,7 +109,11 @@ def fit_ols(design: DesignMatrix) -> RegressionResult:
     se = np.sqrt(np.maximum(np.diag(xtx_inv) * sigma2, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    p_values = 2.0 * stats.t.sf(np.abs(t_stats), df)
+    # Student-t survival function, t.sf(x, df) == stdtr(df, -x); imported
+    # here so that the other commands do not load scipy.special
+    from scipy.special import stdtr
+
+    p_values = 2.0 * stdtr(df, -np.abs(t_stats))
 
     return RegressionResult(
         coefficients=dict(zip(names, map(float, beta))),

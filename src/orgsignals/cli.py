@@ -13,7 +13,9 @@ import json
 import logging
 import re
 import sys
+from bisect import bisect_left
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 from pathlib import Path
 
 from . import calibrate as cal
@@ -23,6 +25,8 @@ from . import synth
 from .graph import TimeWindowConfig, build_windows, write_window_csv
 
 log = logging.getLogger("orgsignals")
+
+_timestamp = attrgetter("timestamp")
 
 
 class CliError(Exception):
@@ -118,13 +122,12 @@ def cmd_ingest(args) -> int:
         date_end=_parse_utc(args.date_end) if args.date_end else None,
         aliases=aliases,
     )
-    report = ing.IngestReport()
-    events = []
     for path in args.mbox:
         if not Path(path).is_file():
             raise CliError(f"mbox file not found: {path}")
-        events.extend(ing.parse_mbox(path, config, report))
-    events.sort(key=lambda e: e.timestamp)
+    report = ing.IngestReport()
+    events = ing.parse_mbox(args.mbox, config, report)
+    events.sort(key=_timestamp)
 
     events_path = _out_path(args.out_dir, "events.csv", args.force)
     report_path = _out_path(args.out_dir, "ingest_report.json", args.force)
@@ -164,7 +167,7 @@ def cmd_analyze(args) -> int:
     _check_input_paths(args, "events", "units", "positive", "negative", "reference")
     _check_positive(args, "window_days", "step_days", "response_horizon_hours")
     events = ing.read_event_csv(args.events)
-    events.sort(key=lambda e: e.timestamp)
+    events.sort(key=_timestamp)
 
     if args.units:
         mapping = ing.read_unit_csv(args.units)
@@ -199,25 +202,24 @@ def cmd_analyze(args) -> int:
     )
     horizon = timedelta(hours=args.response_horizon_hours)
 
+    # one pass groups the events by sender unit; each stream stays time-sorted
     if mapping is None:
         streams = {"_all": events}
         members: dict[str, set[str] | None] = {"_all": None}
     else:
-        streams = {}
         members = {}
-        for unit in sorted(set(mapping.values())):
-            if unit == ing.EXTERNAL_UNIT and not args.include_external:
-                continue
-            streams[unit] = [e for e in events if mapping.get(e.sender) == unit]
-            members[unit] = {a for a, u in mapping.items() if u == unit}
+        for addr, unit in mapping.items():
+            members.setdefault(unit, set()).add(addr)
         if args.include_external:
-            externals = [
-                e for e in events
-                if mapping.get(e.sender, ing.EXTERNAL_UNIT) == ing.EXTERNAL_UNIT
-            ]
-            if externals:
-                streams[ing.EXTERNAL_UNIT] = externals
-                members[ing.EXTERNAL_UNIT] = None
+            # unmapped senders join the actors mapped to _external
+            members[ing.EXTERNAL_UNIT] = None
+        else:
+            members.pop(ing.EXTERNAL_UNIT, None)
+        streams = {unit: [] for unit in members}
+        for e in events:
+            stream = streams.get(mapping.get(e.sender, ing.EXTERNAL_UNIT))
+            if stream is not None:
+                stream.append(e)
 
     if args.period == "monthly":
         periods = _month_periods(corpus_start, corpus_end)
@@ -230,8 +232,9 @@ def cmd_analyze(args) -> int:
         if not stream:
             continue
         for start, end in periods:
-            if not any(start <= e.timestamp < end for e in stream):
-                continue
+            first = bisect_left(stream, start, key=_timestamp)
+            if first == len(stream) or stream[first].timestamp >= end:
+                continue  # no events in this period
             records.append(sig.compute_signal_record(
                 unit, (start, end), stream, window_cfg, lexicon,
                 members=members[unit], response_horizon=horizon,

@@ -61,23 +61,39 @@ class MessageEvent:
     subject_key: str = ""
     tokens: list[str] = field(default_factory=list)
 
-    def validate(self) -> None:
-        """Raise ValueError if any MessageEvent invariant is violated."""
+    def validate(self, canonical: set[str] | None = None) -> None:
+        """Raise ValueError if any MessageEvent invariant is violated.
+
+        `canonical` optionally holds addresses already found canonical:
+        they skip the form check, and addresses that pass it are added.
+        """
+        if canonical is None:
+            canonical = set()
         if not self.message_id:
             raise ValueError("empty message_id")
         if self.timestamp.tzinfo is None or self.timestamp.utcoffset().total_seconds() != 0:
             raise ValueError(f"timestamp not UTC: {self.timestamp!r}")
-        if not _ADDR_RE.match(self.sender) or self.sender != self.sender.lower():
+        if not _is_canonical(self.sender, canonical):
             raise ValueError(f"non-canonical sender: {self.sender!r}")
         if not self.recipients:
             raise ValueError("empty recipient list")
         for addr, weight in self.recipients:
-            if not _ADDR_RE.match(addr) or addr != addr.lower():
+            if not _is_canonical(addr, canonical):
                 raise ValueError(f"non-canonical recipient: {addr!r}")
             if addr == self.sender:
                 raise ValueError("sender duplicated in recipients")
             if not 0.0 < weight <= 1.0:
                 raise ValueError(f"recipient weight out of (0,1]: {weight}")
+
+
+def _is_canonical(addr: str, canonical: set[str]) -> bool:
+    """Whether `addr` is a lowercase addr-spec; a passing address is remembered."""
+    if addr in canonical:
+        return True
+    if not _ADDR_RE.match(addr) or addr != addr.lower():
+        return False
+    canonical.add(addr)
+    return True
 
 
 @dataclass(slots=True)
@@ -218,8 +234,27 @@ def _parse_date(value: str) -> datetime | None:
     return stamp.astimezone(timezone.utc).replace(microsecond=0)
 
 
-def _message_to_event(msg, config: IngestConfig) -> MessageEvent | None:
-    """Convert one mail message; None means skip (caller counts it)."""
+def _canonical_cached(
+    raw: str, config: IngestConfig, cache: dict[str, str | None]
+) -> str | None:
+    """canonicalize_actor once per distinct raw address; None when unusable."""
+    if raw not in cache:
+        try:
+            cache[raw] = canonicalize_actor(raw, config.aliases)
+        except AddressError:
+            cache[raw] = None
+    return cache[raw]
+
+
+def _message_to_event(
+    msg, config: IngestConfig, cache: dict[str, str | None]
+) -> MessageEvent | None:
+    """Convert one mail message; None means skip (caller counts it).
+
+    Address headers are split as they stand: the addr-spec never needs
+    RFC 2047 decoding, and decoding first would let an encoded display
+    name holding "," or "<...>" read as extra addresses.
+    """
     date_header = msg.get("Date")
     timestamp = _parse_date(date_header) if date_header else None
     if timestamp is None:
@@ -229,21 +264,18 @@ def _message_to_event(msg, config: IngestConfig) -> MessageEvent | None:
     if config.date_end is not None and timestamp >= config.date_end:
         return None
 
-    try:
-        sender = canonicalize_actor(_decode_mime_header(msg.get("From")), config.aliases)
-    except AddressError:
+    senders = getaddresses([str(msg.get("From") or "")])
+    sender = _canonical_cached(senders[0][1], config, cache) if senders else None
+    if sender is None:
         return None
 
     recipients: list[tuple[str, float]] = []
     seen: set[str] = set()
     for header, weight in (("To", config.to_weight), ("Cc", config.cc_weight)):
-        for _, raw in getaddresses([_decode_mime_header(h) for h in msg.get_all(header, [])]):
-            try:
-                addr = canonicalize_actor(raw, config.aliases)
-            except AddressError:
-                continue
-            if addr == sender or addr in seen:  # self-sends and repeats dropped
-                continue
+        for _, raw in getaddresses([str(h) for h in msg.get_all(header, [])]):
+            addr = _canonical_cached(raw, config, cache)
+            if addr is None or addr == sender or addr in seen:
+                continue  # unusable addresses, self-sends and repeats dropped
             seen.add(addr)
             recipients.append((addr, weight))
     if not recipients:
@@ -271,45 +303,49 @@ def _message_to_event(msg, config: IngestConfig) -> MessageEvent | None:
 
 
 def parse_mbox(
-    path: str | Path,
+    paths: str | Path | list[str | Path],
     config: IngestConfig | None = None,
     report: IngestReport | None = None,
 ) -> list[MessageEvent]:
-    """Parse one mbox file into events, in file order.
+    """Parse one mbox file, or several as one corpus, into events in file order.
 
     Malformed messages (missing Date/From, no usable recipients, out of the
     configured date range) are skipped and counted, never fatal.  Duplicate
-    Message-IDs keep the first occurrence.  An unreadable file raises OSError.
+    Message-IDs keep the first occurrence, across all the files given.  A
+    missing or unreadable file raises OSError.
     """
     config = config or IngestConfig()
     report = report if report is not None else IngestReport()
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"mbox file not found: {path}")
+    paths = [Path(paths)] if isinstance(paths, (str, Path)) else [Path(p) for p in paths]
+    for path in paths:
+        if not path.is_file():
+            raise FileNotFoundError(f"mbox file not found: {path}")
 
     events: list[MessageEvent] = []
     seen_ids: set[str] = set()
-    box = mailbox.mbox(str(path), create=False)
-    try:
-        for msg in box:
-            try:
-                event = _message_to_event(msg, config)
-            except Exception:
-                event = None
-            if event is None:
-                report.skipped += 1
-                continue
-            if len(event.recipients) > config.broadcast_threshold:
-                report.broadcast_dropped += 1
-                continue
-            if event.message_id in seen_ids:
-                report.deduped += 1
-                continue
-            seen_ids.add(event.message_id)
-            events.append(event)
-            report.parsed += 1
-    finally:
-        box.close()
+    cache: dict[str, str | None] = {}  # raw address -> canonical address or None
+    for path in paths:
+        box = mailbox.mbox(str(path), create=False)
+        try:
+            for msg in box:
+                try:
+                    event = _message_to_event(msg, config, cache)
+                except Exception:
+                    event = None
+                if event is None:
+                    report.skipped += 1
+                    continue
+                if len(event.recipients) > config.broadcast_threshold:
+                    report.broadcast_dropped += 1
+                    continue
+                if event.message_id in seen_ids:
+                    report.deduped += 1
+                    continue
+                seen_ids.add(event.message_id)
+                events.append(event)
+                report.parsed += 1
+        finally:
+            box.close()
     return events
 
 
@@ -334,10 +370,17 @@ def write_event_csv(events, path: str | Path) -> None:
 def read_event_csv(path: str | Path) -> list[MessageEvent]:
     """Read the canonical event CSV back into events.
 
-    Raises EventSchemaError naming the offending row and column on any
-    schema violation.
+    Equal strings share one object: every distinct address, recipient
+    entry, token and subject is held once however many rows repeat it,
+    and each distinct address has its form checked once.  Raises
+    EventSchemaError naming the offending row and column on any schema
+    violation.
     """
     events: list[MessageEvent] = []
+    strings: dict[str, str] = {}
+    pairs: dict[str, tuple[str, float]] = {}  # "addr:weight" -> recipient entry
+    canonical: set[str] = set()
+    share = strings.setdefault
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -363,25 +406,29 @@ def read_event_csv(path: str | Path) -> list[MessageEvent]:
             for item in recips_raw.split(";"):
                 if not item:
                     continue
-                addr, sep, weight_raw = item.rpartition(":")
-                try:
-                    weight = float(weight_raw)
-                except ValueError:
-                    sep = ""
-                if not sep:
-                    raise EventSchemaError(f"row {lineno}, column recipients: {item!r}")
-                recipients.append((addr, weight))
+                pair = pairs.get(item)
+                if pair is None:
+                    addr, sep, weight_raw = item.rpartition(":")
+                    try:
+                        weight = float(weight_raw)
+                    except ValueError:
+                        sep = ""
+                    if not sep:
+                        raise EventSchemaError(f"row {lineno}, column recipients: {item!r}")
+                    pair = pairs[item] = (share(addr, addr), weight)
+                recipients.append(pair)
+            tokens = tokens_raw.split()
             event = MessageEvent(
                 message_id=msg_id,
                 timestamp=timestamp.astimezone(timezone.utc),
-                sender=sender,
+                sender=share(sender, sender),
                 recipients=recipients,
                 in_reply_to=reply_raw or None,
-                subject_key=subject,
-                tokens=tokens_raw.split() if tokens_raw else [],
+                subject_key=share(subject, subject),
+                tokens=list(map(share, tokens, tokens)),
             )
             try:
-                event.validate()
+                event.validate(canonical)
             except ValueError as exc:
                 raise EventSchemaError(f"row {lineno}, column *: {exc}") from None
             events.append(event)

@@ -13,9 +13,11 @@ import csv
 import logging
 import math
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from itertools import chain, groupby
+from operator import attrgetter
 from pathlib import Path
 
 from .graph import (
@@ -27,6 +29,8 @@ from .graph import (
 from .ingest import MessageEvent
 
 log = logging.getLogger(__name__)
+
+_timestamp = attrgetter("timestamp")
 
 SIGNAL_DIMENSIONS = {
     "central_leadership": "structure",
@@ -216,42 +220,40 @@ def extract_response_events(
     events: list[MessageEvent],
     max_response_horizon: timedelta = DEFAULT_RESPONSE_HORIZON,
 ) -> list[ResponseEvent]:
-    """Scan every ordered actor pair for request runs and their replies.
+    """Find every ordered actor pair's request runs and their replies.
 
     A run accumulates consecutive A->B messages with no intervening B->A;
     the first strictly later B->A message closes it.  The close emits a
     ResponseEvent only when it falls within the horizon of the run start;
     otherwise the run is censored and dropped, as are runs never closed.
     Same-second replies are treated as crossing mail and ignored.
-    """
-    pair_times: dict[tuple[str, str], list[datetime]] = defaultdict(list)
-    for e in events:
-        for addr, _ in e.recipients:
-            pair_times[(e.sender, addr)].append(e.timestamp)
 
+    One pass in time order keeps the open run of each pair.  Within one
+    second every message first acts as a request, then as a reply, so a
+    reply never closes a run whose last request is in the same second.
+    """
+    # (requester, responder) -> [run start, last request, nudges]
+    open_runs: dict[tuple[str, str], list] = {}
     out: list[ResponseEvent] = []
-    for (requester, responder), requests in pair_times.items():
-        responses = pair_times.get((responder, requester), [])
-        # requests sort ahead of responses at equal timestamps
-        merged = sorted(
-            [(t, 0) for t in requests] + [(t, 1) for t in responses]
-        )
-        run_start: datetime | None = None
-        run_last: datetime | None = None
-        nudges = 0
-        for t, kind in merged:
-            if kind == 0:
-                if run_start is None:
-                    run_start, run_last, nudges = t, t, 1
+    for stamp, group in groupby(sorted(events, key=_timestamp), key=_timestamp):
+        group = list(group)
+        for e in group:
+            for addr, _ in e.recipients:
+                run = open_runs.get((e.sender, addr))
+                if run is None:
+                    open_runs[(e.sender, addr)] = [stamp, stamp, 1]
                 else:
-                    run_last = t
-                    nudges += 1
-            elif run_start is not None and t > run_last:
-                if t - run_start <= max_response_horizon:
-                    out.append(
-                        ResponseEvent(requester, responder, run_start, run_last, t, nudges)
-                    )
-                run_start, run_last, nudges = None, None, 0
+                    run[1] = stamp
+                    run[2] += 1
+        for e in group:
+            for addr, _ in e.recipients:
+                run = open_runs.get((addr, e.sender))
+                if run is not None and stamp > run[1]:
+                    del open_runs[(addr, e.sender)]
+                    if stamp - run[0] <= max_response_horizon:
+                        out.append(
+                            ResponseEvent(addr, e.sender, run[0], run[1], stamp, run[2])
+                        )
     out.sort(key=lambda r: (r.run_start, r.requester, r.responder))
     return out
 
@@ -301,34 +303,52 @@ def honest_sentiment(events: list[MessageEvent], lexicon: LexiconConfig) -> floa
 
 
 def jensen_shannon_divergence(p: dict[str, float], q: dict[str, float]) -> float:
-    """Base-2 Jensen-Shannon divergence over the union support, in [0, 1]."""
-    total = 0.0
-    for key in p.keys() | q.keys():
+    """Base-2 Jensen-Shannon divergence over the union support, in [0, 1].
+
+    The terms are summed exactly, in sorted key order, so the result does
+    not depend on the hash order of the keys.
+    """
+    terms = []
+    for key in sorted(p.keys() | q.keys()):
         pk = p.get(key, 0.0)
         qk = q.get(key, 0.0)
         m = 0.5 * (pk + qk)
         if pk > 0.0:
-            total += 0.5 * pk * math.log2(pk / m)
+            terms.append(0.5 * pk * math.log2(pk / m))
         if qk > 0.0:
-            total += 0.5 * qk * math.log2(qk / m)
-    return min(1.0, max(0.0, total))
+            terms.append(0.5 * qk * math.log2(qk / m))
+    return min(1.0, max(0.0, math.fsum(terms)))
 
 
-def innovative_language(tokens: list[str], reference: dict[str, float]) -> float:
-    """Divergence of the token stream's unigram distribution from the reference."""
-    if not tokens:
+def _token_counts(tokens: list[str] | Counter[str]) -> Counter[str]:
+    counts = Counter(tokens)  # counts a list, copies a Counter
+    if not counts:
         raise ValueError("no content")
-    counts = Counter(tokens)
-    n = len(tokens)
+    return counts
+
+
+def innovative_language(
+    tokens: list[str] | Counter[str], reference: dict[str, float]
+) -> float:
+    """Divergence of the token stream's unigram distribution from the reference.
+
+    `tokens` is the stream itself or a Counter of it.
+    """
+    counts = _token_counts(tokens)
+    n = counts.total()
     p = {w: c / n for w, c in counts.items()}
     return jensen_shannon_divergence(p, reference)
 
 
-def out_of_vocabulary_rate(tokens: list[str], reference: dict[str, float]) -> float:
-    """Auxiliary metric: fraction of tokens absent from the reference."""
-    if not tokens:
-        raise ValueError("no content")
-    return sum(1 for t in tokens if t not in reference) / len(tokens)
+def out_of_vocabulary_rate(
+    tokens: list[str] | Counter[str], reference: dict[str, float]
+) -> float:
+    """Auxiliary metric: fraction of tokens absent from the reference.
+
+    `tokens` is the stream itself or a Counter of it.
+    """
+    counts = _token_counts(tokens)
+    return sum(c for w, c in counts.items() if w not in reference) / counts.total()
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +384,17 @@ def compute_signal_record(
 ) -> SignalRecord:
     """Populate a SignalRecord for one unit's event stream over one period.
 
-    `events` is the unit's time-sorted stream (sender belongs to the unit).
-    `members` restricts actor-level aggregates to the unit roster; without
-    it every actor appearing in the stream is aggregated.  Sub-signals whose
+    `events` is the unit's time-sorted stream (sender belongs to the unit);
+    the period's events are found in it by bisection.  `members` restricts
+    actor-level aggregates to the unit roster; without it every actor
+    appearing in the stream is aggregated.  Sub-signals whose
     preconditions fail are left missing, never zeroed.
     """
     start, end = period
     if end <= start:
         raise ValueError("empty period")
-    events = [e for e in events if start <= e.timestamp < end]
+    events = events[bisect_left(events, start, key=_timestamp):
+                    bisect_left(events, end, key=_timestamp)]
     if not events:
         raise ValueError(f"unit {unit!r} has no events in period")
     record = SignalRecord(unit=unit, period_start=start, period_end=end)
@@ -433,14 +455,10 @@ def compute_signal_record(
     except ValueError:
         pass
 
-    all_tokens = [t for e in events for t in e.tokens]
-    if all_tokens and lexicon.reference_dictionary:
-        record.innovative_language = innovative_language(
-            all_tokens, lexicon.reference_dictionary
-        )
-        record.oov_rate = out_of_vocabulary_rate(
-            all_tokens, lexicon.reference_dictionary
-        )
+    counts = Counter(chain.from_iterable(e.tokens for e in events))
+    if counts and lexicon.reference_dictionary:
+        record.innovative_language = innovative_language(counts, lexicon.reference_dictionary)
+        record.oov_rate = out_of_vocabulary_rate(counts, lexicon.reference_dictionary)
     return record
 
 

@@ -3,14 +3,17 @@
 These deliberately avoid the library's algorithms: betweenness is checked
 by enumerating all simple paths (and, on graphs too large for that, by
 textbook one-source-at-a-time Brandes), oscillations by a literal
-local-extrema count, response runs by an explicit message-list scanner,
-and OLS by the normal equations.
+local-extrema count, response runs by an explicit message-list scanner
+(and, over whole event lists, by one merged sort per actor pair), and OLS
+by the normal equations.
 """
 
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 
 import numpy as np
+
+from orgsignals.signals import ResponseEvent
 
 
 def brute_betweenness(n: int, edges: set[tuple[int, int]]) -> list[Fraction]:
@@ -117,6 +120,39 @@ def brute_response_runs(requests, responses, horizon):
             if t - min(run) <= horizon:
                 out.append((min(run), max(run), t, len(run)))
             run = []
+    return out
+
+
+def pairwise_response_events(events, horizon) -> list[ResponseEvent]:
+    """Request runs found pair by pair, from one sorted merge per pair.
+
+    For each ordered pair (A, B), A's request times and B's reply times
+    are merged in one sorted list, requests ahead of replies at equal
+    timestamps, and scanned for runs.  Same contract and output order as
+    `signals.extract_response_events`.
+    """
+    pair_times = defaultdict(list)
+    for e in events:
+        for addr, _ in e.recipients:
+            pair_times[(e.sender, addr)].append(e.timestamp)
+    out = []
+    for (requester, responder), requests in pair_times.items():
+        responses = pair_times.get((responder, requester), [])
+        merged = sorted([(t, 0) for t in requests] + [(t, 1) for t in responses])
+        run_start = run_last = None
+        nudges = 0
+        for t, kind in merged:
+            if kind == 0:
+                if run_start is None:
+                    run_start, run_last, nudges = t, t, 1
+                else:
+                    run_last = t
+                    nudges += 1
+            elif run_start is not None and t > run_last:
+                if t - run_start <= horizon:
+                    out.append(ResponseEvent(requester, responder, run_start, run_last, t, nudges))
+                run_start, run_last, nudges = None, None, 0
+    out.sort(key=lambda r: (r.run_start, r.requester, r.responder))
     return out
 
 

@@ -1,10 +1,20 @@
 """End-to-end command coverage: exit codes, outputs, idempotency."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
+import orgsignals
 from orgsignals.cli import main
+from orgsignals.graph import TimeWindowConfig
+from orgsignals.ingest import EXTERNAL_UNIT, read_event_csv, read_unit_csv
+from orgsignals.signals import compute_signal_record, load_lexicon
 
 from test_ingest import BASE_HEADERS, make_mbox
 
@@ -322,3 +332,122 @@ def test_analyze_rejects_nonpositive_durations(tmp_path, scenario_file, capsys):
     assert run(["analyze", "--events", bundle / "events.csv",
                 "--window-days", "0", "--out-dir", tmp_path / "o"]) == 1
     assert "--window-days must be positive" in capsys.readouterr().err
+
+
+def test_ingest_dedups_across_archives(tmp_path):
+    first, second = tmp_path / "one.mbox", tmp_path / "two.mbox"
+    make_mbox(first, [(BASE_HEADERS, "hello")])
+    make_mbox(second, [(BASE_HEADERS, "hello")])
+    out = tmp_path / "out"
+    assert run(["ingest", first, second, "--out-dir", out]) == 0
+    report = json.loads((out / "ingest_report.json").read_text())
+    assert (report["written"], report["deduped"]) == (1, 1)
+    assert (out / "events.csv").read_text().count("\n") == 2
+
+
+# ---------------------------------------------------------------------------
+# unit grouping, hash-seed independence, import footprint
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def mixed_bundle(tmp_path):
+    """A random 12-actor corpus over 75 days with an interleaved unit map.
+
+    Actors 0, 5 and 10 are unmapped and actors 3 and 8 are mapped to
+    _external; the rest alternate between three units.
+    """
+    scenario = tmp_path / "random.json"
+    scenario.write_text(json.dumps({
+        "name": "mixed", "n_actors": 12, "duration_days": 75,
+        "topology": {"kind": "random", "p": 0.08},
+        "reply_delay_hours": {"kind": "uniform", "low": 1.0, "high": 30.0},
+        "lexicon_mix": {"mean": 0.3, "std": 0.1},
+        "vocabulary": {"in_dictionary_fraction": 0.8},
+        "seed": 5,
+    }))
+    bundle = simulate(tmp_path, scenario, "mixed")
+    rows = ["address,unit"]
+    for i in range(12):
+        if i % 5 == 0:
+            continue
+        rows.append(f"actor{i:03d}@example.org,{'_external' if i in (3, 8) else f'u{i % 3}'}")
+    (bundle / "units.csv").write_text("\n".join(rows) + "\n")
+    return bundle
+
+
+def mixed_args(bundle, out):
+    return [
+        "analyze", "--events", bundle / "events.csv", "--units", bundle / "units.csv",
+        "--positive", bundle / "positive.txt", "--negative", bundle / "negative.txt",
+        "--reference", bundle / "reference_dictionary.csv",
+        "--window-days", 7, "--step-days", 7, "--response-horizon-hours", 48,
+        "--corpus-start", "2024-01-01T00:00:00+00:00",
+        "--corpus-end", "2024-03-16T00:00:00+00:00",
+        "--period", "monthly", "--include-external", "--out-dir", out, "--no-timestamps",
+    ]
+
+
+def test_analyze_interleaved_units_match_filtered_streams(tmp_path, mixed_bundle):
+    out = tmp_path / "analysis"
+    assert run(mixed_args(mixed_bundle, out)) == 0
+    with open(out / "signals.csv", newline="") as fh:
+        got = list(csv.reader(fh))[1:]
+
+    # the records built one unit and one period at a time, by filtering
+    events = sorted(read_event_csv(mixed_bundle / "events.csv"), key=lambda e: e.timestamp)
+    mapping = read_unit_csv(mixed_bundle / "units.csv")
+    lexicon = load_lexicon(mixed_bundle / "positive.txt", mixed_bundle / "negative.txt",
+                           mixed_bundle / "reference_dictionary.csv")
+    units = sorted(set(mapping.values()) - {EXTERNAL_UNIT})
+    streams = {u: [e for e in events if mapping.get(e.sender) == u] for u in units}
+    members = {u: {a for a, v in mapping.items() if v == u} for u in units}
+    streams[EXTERNAL_UNIT] = [
+        e for e in events if mapping.get(e.sender, EXTERNAL_UNIT) == EXTERNAL_UNIT
+    ]
+    members[EXTERNAL_UNIT] = None
+    external_senders = {e.sender for e in streams[EXTERNAL_UNIT]}
+    assert "actor003@example.org" in external_senders  # mapped to _external
+    assert "actor005@example.org" in external_senders  # unmapped
+
+    month = [datetime(2024, m, 1, tzinfo=timezone.utc) for m in (1, 2, 3)]
+    periods = [(month[0], month[1]), (month[1], month[2]),
+               (month[2], datetime(2024, 3, 16, tzinfo=timezone.utc))]
+    cfg = TimeWindowConfig(timedelta(days=7), timedelta(days=7))
+    expected = []
+    for unit in sorted(streams):
+        for start, end in periods:
+            part = [e for e in streams[unit] if start <= e.timestamp < end]
+            if part:
+                expected.append(compute_signal_record(
+                    unit, (start, end), part, cfg, lexicon, members=members[unit],
+                    response_horizon=timedelta(hours=48),
+                ).as_row())
+    assert len(expected) == 4 * 3
+    assert got == expected
+
+
+def package_env(**extra):
+    """The environment of a child interpreter that imports this orgsignals."""
+    src = str(Path(orgsignals.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_analyze_output_independent_of_hash_seed(tmp_path, mixed_bundle):
+    outputs = []
+    for seed in (1, 2):
+        out = tmp_path / f"seed{seed}"
+        env = package_env(PYTHONHASHSEED=str(seed))
+        subprocess.run([sys.executable, "-m", "orgsignals.cli",
+                        *map(str, mixed_args(mixed_bundle, out))],
+                       env=env, check=True, capture_output=True)
+        outputs.append((out / "signals.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    env = package_env()
+    probe = "import sys, orgsignals.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "False"

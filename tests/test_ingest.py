@@ -425,3 +425,93 @@ def test_read_unit_csv_bad_row_names_row(tmp_path):
     path.write_text("address,unit\nnot-an-address,u1\n")
     with pytest.raises(EventSchemaError, match="row 2"):
         read_unit_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# shared strings and once-per-address checks in read_event_csv
+# ---------------------------------------------------------------------------
+
+def test_event_csv_repeats_share_one_string(tmp_path):
+    path = tmp_path / "events.csv"
+    write_event_csv([
+        mk_event("a@x.com", ["b@x.com"], hours=1, tokens=["plan", "plan", "notes"]),
+        mk_event("b@x.com", ["a@x.com", "c@x.com"], hours=2, tokens=["plan"]),
+    ], path)
+    first, second = read_event_csv(path)
+    assert first.tokens[0] is first.tokens[1] is second.tokens[0]
+    assert first.sender is second.recipients[0][0]
+    assert first.recipients[0][0] is second.sender
+
+
+@pytest.mark.parametrize("last, message", [
+    (mk_event("a@x.com", ["b@x.com", "Bad@X.com"], hours=3),
+     "non-canonical recipient: 'Bad@X.com'"),
+    (mk_event("A@x.com", ["b@x.com"], hours=3), "non-canonical sender: 'A@x.com'"),
+    (mk_event("a@x.com", ["b@x.com", "a@x.com"], hours=3), "sender duplicated in recipients"),
+    (mk_event("a@x.com", [("b@x.com", 1.5)], hours=3), "recipient weight out of (0,1]: 1.5"),
+])
+def test_event_csv_fault_after_good_rows_names_its_row(tmp_path, last, message):
+    path = tmp_path / "events.csv"
+    write_event_csv([
+        mk_event("a@x.com", ["b@x.com"], hours=1),
+        mk_event("b@x.com", ["a@x.com"], hours=2),
+        last,
+        mk_event("Bad@X.com", ["a@x.com"], hours=4),
+    ], path)
+    with pytest.raises(EventSchemaError) as raised:
+        read_event_csv(path)
+    assert str(raised.value) == f"row 4, column *: {message}"
+
+
+# ---------------------------------------------------------------------------
+# address headers: split before decoding, canonicalized once per raw form
+# ---------------------------------------------------------------------------
+
+def test_encoded_display_name_adds_no_recipient(tmp_path):
+    path = tmp_path / "phantom.mbox"
+    make_mbox(path, [({**BASE_HEADERS, "To": "=?utf-8?q?bob=40x=2Ecom=2C_Team?= <carol@x.com>"},
+                      "hello")])
+    (event,) = parse_mbox(path)
+    assert event.recipients == [("carol@x.com", 1.0)]
+
+
+def test_encoded_sender_name_with_comma_is_parsed(tmp_path):
+    path = tmp_path / "comma.mbox"
+    make_mbox(path, [({**BASE_HEADERS,
+                       "From": "=?utf-8?q?M=C3=BCller=2C_J=C3=BCrgen?= <JM@x.com>"}, "hello")])
+    report = IngestReport()
+    (event,) = parse_mbox(path, report=report)
+    assert event.sender == "jm@x.com"
+    assert report.skipped == 0
+
+
+def test_each_raw_address_canonicalized_once(tmp_path, monkeypatch):
+    import orgsignals.ingest as ingest
+
+    calls = []
+
+    def counting(raw, aliases=None):
+        calls.append(raw)
+        return canonicalize_actor(raw, aliases)
+
+    monkeypatch.setattr(ingest, "canonicalize_actor", counting)
+    path = tmp_path / "many.mbox"
+    make_mbox(path, [
+        ({**BASE_HEADERS, "Message-ID": f"<m{i}@x.com>", "Cc": "C@x.com, c@x.com"}, "hi")
+        for i in range(5)
+    ])
+    events = parse_mbox(path)
+    assert len(events) == 5
+    assert sorted(calls) == ["C@x.com", "a@x.com", "b@x.com", "c@x.com"]
+    assert events[0].recipients == [("b@x.com", 1.0), ("c@x.com", 0.5)]
+
+
+def test_duplicate_across_archives_kept_once(tmp_path):
+    first, second = tmp_path / "one.mbox", tmp_path / "two.mbox"
+    make_mbox(first, [(BASE_HEADERS, "hello")])
+    make_mbox(second, [(BASE_HEADERS, "hello"),
+                       ({**BASE_HEADERS, "Message-ID": "<m2@x.com>"}, "other")])
+    report = IngestReport()
+    events = parse_mbox([first, second], report=report)
+    assert [e.message_id for e in events] == ["<m1@x.com>", "<m2@x.com>"]
+    assert (report.parsed, report.deduped) == (2, 1)

@@ -4,6 +4,8 @@ import random
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orgsignals.signals import (
     ResponseEvent,
@@ -138,6 +140,49 @@ def test_fuzzed_pairwise_timelines_match_oracle():
             + [("b@x.com", *run) for run in brute_response_runs(b_times, a_times, horizon)]
         )
         assert got_tuples == expected_tuples, f"trial {trial}"
+
+
+ACTORS = ["a@x.com", "b@x.com", "c@x.com", "d@x.com"]
+
+
+@st.composite
+def mixed_stream(draw):
+    """Messages among four actors, several recipients each, many in one second."""
+    events = []
+    for i in range(draw(st.integers(0, 40))):
+        sender = draw(st.sampled_from(ACTORS))
+        others = [a for a in ACTORS if a != sender]
+        recipients = draw(st.lists(st.sampled_from(others), min_size=1, max_size=3))
+        seconds = draw(st.integers(0, 12)) * 1800 + draw(st.sampled_from([0, 0, 0, 1]))
+        events.append(mk_event(sender, recipients, hours=seconds / 3600,
+                               message_id=f"<mix{i}>"))
+    return events
+
+
+@given(mixed_stream(), st.sampled_from([1, 2, 4, 48]))
+@settings(max_examples=200, deadline=None)
+def test_one_pass_matches_pairwise_merge(events, horizon_hours):
+    from oracles import pairwise_response_events
+
+    horizon = timedelta(hours=horizon_hours)
+    expected = pairwise_response_events(events, horizon)
+    assert extract_response_events(events, horizon) == expected
+    assert extract_response_events(events[::-1], horizon) == expected
+    assert extract_response_events(
+        sorted(events, key=lambda e: e.timestamp), horizon
+    ) == expected
+
+
+def test_same_second_request_and_reply_in_either_order():
+    request = mk_event("a@x.com", ["b@x.com"], hours=0, message_id="<q0>")
+    nudge = mk_event("a@x.com", ["b@x.com"], hours=1, message_id="<q1>")
+    crossing = mk_event("b@x.com", ["a@x.com"], hours=1, message_id="<r1>")
+    reply = mk_event("b@x.com", ["a@x.com"], hours=2, message_id="<r2>")
+    for middle in ([nudge, crossing], [crossing, nudge]):
+        (r,) = extract_response_events([request, *middle, reply])
+        assert (r.run_last, r.response_at, r.nudges) == (
+            nudge.timestamp, reply.timestamp, 2
+        )
 
 
 # ---------------------------------------------------------------------------
