@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled betweenness kernel against the numpy fallback.
+"""Time the Brandes kernel on shallow and deep graphs.
 
 Usage: python benchmarks/bench_betweenness.py [--sizes 100,300,500]
-                                              [--mean-degree 8]
 
-Graphs are seeded Erdos-Renyi with mean degree ~8 by default, the regime
-a weekly window over a few hundred actors actually produces.  Numbers are
-the best of three wall times for one full Brandes pass (all sources).
+For each size it times one full Brandes pass (all sources), best of
+three, on three graphs:
 
-The numpy kernel does one sparse product per BFS level for a whole block
-of sources, so it is slowest, relative to the compiled one, on sparse deep
-graphs: `--mean-degree 2` shows that case.
+- `deg8`: seeded Erdos-Renyi with mean degree ~8, the regime a weekly
+  window over a few hundred actors actually produces;
+- `deg2`: the same at mean degree ~2, sparse and many levels deep;
+- `path`: a path over all n nodes, the deepest graph there is.
+
+The kernel does two sparse products per BFS level for a whole block of
+sources, so its cost grows with the depth of the graph: the deep cases
+show how much.  Blocks run on as many threads as this process has CPUs
+(`cpus` in the header).
 """
 
 import argparse
+import os
 import random
 import time
 
@@ -21,13 +26,17 @@ import numpy as np
 
 from orgsignals import _betweenness_py
 
-try:
-    from orgsignals import _betweenness as compiled
-except ImportError:
-    compiled = None
+
+def csr(neighbours):
+    indptr = np.zeros(len(neighbours) + 1, dtype=np.int32)
+    flat = []
+    for i, ns in enumerate(neighbours):
+        flat.extend(sorted(ns))
+        indptr[i + 1] = len(flat)
+    return indptr, np.asarray(flat, dtype=np.int32)
 
 
-def random_csr(n: int, mean_degree: float, seed: int):
+def random_neighbours(n: int, mean_degree: float, seed: int):
     rng = random.Random(seed)
     p = mean_degree / (n - 1)
     neighbours = [set() for _ in range(n)]
@@ -36,50 +45,46 @@ def random_csr(n: int, mean_degree: float, seed: int):
             if rng.random() < p:
                 neighbours[a].add(b)
                 neighbours[b].add(a)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    flat = []
-    for i, ns in enumerate(neighbours):
-        flat.extend(sorted(ns))
-        indptr[i + 1] = len(flat)
-    return indptr, np.asarray(flat, dtype=np.int32)
+    return neighbours
 
 
-def time_kernel(kernel, indptr, indices, n, repeats=3):
+def path_neighbours(n: int):
+    neighbours = [set() for _ in range(n)]
+    for a in range(n - 1):
+        neighbours[a].add(a + 1)
+        neighbours[a + 1].add(a)
+    return neighbours
+
+
+def time_kernel(indptr, indices, n, repeats=3):
     best = float("inf")
-    result = None
     for _ in range(repeats):
         started = time.perf_counter()
-        result = kernel(indptr, indices, n)
+        _betweenness_py.brandes_accumulate(indptr, indices, n)
         best = min(best, time.perf_counter() - started)
-    return best, result
+    return best
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--sizes", default="100,300,500",
                         help="comma-separated node counts")
-    parser.add_argument("--mean-degree", type=float, default=8.0)
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    if compiled is None:
-        print("compiled kernel not built; timing the numpy kernel only\n")
-
-    header = f"{'n':>6} {'edges':>8} {'numpy':>10}"
-    if compiled is not None:
-        header += f" {'cython':>10} {'speedup':>9}"
-    print(header)
+    cases = {
+        "deg8": lambda n: random_neighbours(n, 8.0, seed=n),
+        "deg2": lambda n: random_neighbours(n, 2.0, seed=n),
+        "path": path_neighbours,
+    }
+    print(f"cpus {len(os.sched_getaffinity(0))}, "
+          f"source block {_betweenness_py.SOURCE_BLOCK}")
+    print(f"{'n':>6}" + "".join(f" {name:>9} {'edges':>6}" for name in cases))
     for n in sizes:
-        indptr, indices = random_csr(n, args.mean_degree, seed=n)
-        edges = len(indices) // 2
-        py_time, py_scores = time_kernel(
-            _betweenness_py.brandes_accumulate, indptr, indices, n
-        )
-        line = f"{n:>6} {edges:>8} {py_time:>9.4f}s"
-        if compiled is not None:
-            cy_time, cy_scores = time_kernel(compiled.brandes_accumulate, indptr, indices, n)
-            assert np.allclose(py_scores, cy_scores, atol=1e-9), "kernels disagree"
-            line += f" {cy_time:>9.4f}s {py_time / cy_time:>8.1f}x"
+        line = f"{n:>6}"
+        for make in cases.values():
+            indptr, indices = csr(make(n))
+            line += f" {time_kernel(indptr, indices, n):>8.4f}s {len(indices) // 2:>6}"
         print(line)
 
 

@@ -1,8 +1,7 @@
-"""Vectorized Brandes kernel in numpy and scipy.sparse, the import-time
-fallback for the compiled one.
+"""Vectorized Brandes kernel in numpy and scipy.sparse.
 
-Same contract as the Cython module: ordered-pair betweenness scores over
-a symmetric simple CSR adjacency, to be halved by the caller.
+Ordered-pair betweenness scores over a symmetric simple CSR adjacency,
+to be halved by the caller.
 
 The algorithm is Brandes (2001) in the level-synchronous, algebraic form
 of Kepner & Gilbert (eds., 2011), run for a block of sources at once.
@@ -15,9 +14,20 @@ Each source owns one column of an (n, block) matrix:
   sigma of the nodes at level d, times the adjacency and then sigma,
   give the dependencies (delta) of their predecessors at level d - 1.
 
-The level of each node is read back from `dist`, so memory is
-O(SOURCE_BLOCK * n) whatever the depth of the graph.
+Between the sparse products every pass is a plain dense ufunc: a level
+is selected by multiplying with its 0/1 mask, not by boolean indexing
+or `where=`, which cost several times as much per element.  The level
+of each node is read back from `dist`, so memory is O(SOURCE_BLOCK * n)
+per block whatever the depth of the graph.
+
+Graphs larger than one block run their blocks on a thread pool of one
+thread per block, at most one per CPU this process may use; the sparse
+products and the ufuncs release the GIL.  The blocks are summed in block
+order, so the scores do not depend on the number of threads.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
@@ -36,45 +46,74 @@ def brandes_accumulate(indptr, indices, n: int) -> np.ndarray:
     of ordered-pair betweenness scores: the caller halves them to count
     each unordered pair once.
     """
-    scores = np.zeros(n, dtype=np.float64)
     adjacency = sparse.csr_array(
         (np.ones(len(indices), dtype=np.float64), indices, indptr), shape=(n, n)
     )
-    for first in range(0, n, SOURCE_BLOCK):
-        sources = np.arange(first, min(first + SOURCE_BLOCK, n))
-        scores += _block_dependencies(adjacency, sources, n)
+    if n <= SOURCE_BLOCK:
+        return _block_dependencies(adjacency, 0, n)
+
+    firsts = range(0, n, SOURCE_BLOCK)
+    scores = np.zeros(n, dtype=np.float64)
+    # the CPUs this process may use; sched_getaffinity exists on Linux only
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(len(firsts), cpus)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        blocks = pool.map(lambda first: _block_dependencies(adjacency, first, n), firsts)
+        for block in blocks:
+            scores += block
     return scores
 
 
-def _block_dependencies(adjacency, sources: np.ndarray, n: int) -> np.ndarray:
-    """Dependencies summed over the given sources, one column per source."""
-    columns = np.arange(len(sources))
-    dist = np.full((n, len(sources)), -1, dtype=np.int32)
-    sigma = np.zeros((n, len(sources)), dtype=np.float64)
-    dist[sources, columns] = 0
-    sigma[sources, columns] = 1.0
+def _block_dependencies(adjacency, first: int, n: int) -> np.ndarray:
+    """Dependencies summed over the sources first .. first + SOURCE_BLOCK - 1,
+    one column per source."""
+    width = min(SOURCE_BLOCK, n - first)
+    columns = np.arange(width)
+    shape = (n, width)
+    dist = np.zeros(shape, dtype=np.int32)
+    unreached = np.ones(shape, dtype=bool)
+    unreached[columns + first, columns] = False
+    frontier = np.zeros(shape, dtype=np.float64)
+    frontier[columns + first, columns] = 1.0
+    sigma = frontier.copy()
 
-    frontier = sigma.copy()
+    # Each level adds 1 to the distance of every node not reached before
+    # it, so a node first reached at level d ends at d, and a node never
+    # reached ends one past the deepest level.
+    fresh = np.empty(shape, dtype=bool)
     depth = 0
     while True:
-        reached = adjacency @ frontier
-        fresh = (reached > 0) & (dist < 0)
+        frontier = adjacency @ frontier
+        np.greater(frontier, 0.0, out=fresh)
+        fresh &= unreached
+        dist += unreached
         if not fresh.any():
             break
         depth += 1
-        dist[fresh] = depth
-        frontier = np.where(fresh, reached, 0.0)
+        frontier *= fresh
         sigma += frontier
+        unreached ^= fresh
 
     # Sources sit at level 0; their own delta is never counted, so the
-    # sweep stops once it has filled level 1.
-    delta = np.zeros_like(sigma)
-    coeff = np.empty_like(sigma)
-    level = dist == depth
+    # sweep stops once it has filled level 1.  Each entry of delta is
+    # written once, at its own level, by adding to its zero.  Unreached
+    # entries of sigma become 1, so that every quotient is finite; their
+    # dist lies beyond every level, so no mask selects them.
+    sigma += unreached
+    delta = np.zeros(shape, dtype=np.float64)
+    level = fresh
+    np.equal(dist, depth, out=level)
+    work = frontier
     for d in range(depth, 1, -1):
-        coeff.fill(0.0)
-        np.divide(1.0 + delta, sigma, out=coeff, where=level)
-        pulled = adjacency @ coeff
-        level = dist == d - 1
-        delta[level] = sigma[level] * pulled[level]
+        np.add(delta, 1.0, out=work)
+        work /= sigma
+        work *= level
+        work = adjacency @ work
+        np.equal(dist, d - 1, out=level)
+        work *= sigma
+        work *= level
+        delta += work
     return delta.sum(axis=1)

@@ -3,7 +3,9 @@
 Every command takes a key = value config file whose entries act as flag
 defaults (explicit flags win), writes only under --out-dir, and refuses
 to overwrite existing outputs without --force.  Exit codes: 0 success,
-1 user/input error, 2 internal invariant violation.
+1 user/input error, 2 internal invariant violation.  A ValueError counts
+as bad input only where it comes from reading the user's inputs and
+options; raised anywhere else, it is an internal fault.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import logging
 import re
 import sys
 from bisect import bisect_left
+from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 from pathlib import Path
@@ -31,6 +34,15 @@ _timestamp = attrgetter("timestamp")
 
 class CliError(Exception):
     """User/input error: message printed to stderr, exit code 1."""
+
+
+@contextmanager
+def _reading_input():
+    """Report a value that cannot be read or is out of range as a CliError."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _parse_utc(text: str) -> datetime:
@@ -113,15 +125,15 @@ def _safe_name(unit: str) -> str:
 def cmd_ingest(args) -> int:
     _require(args, "mbox", "out_dir")
     _check_input_paths(args, "aliases")
-    aliases = ing.read_alias_csv(args.aliases) if args.aliases else {}
-    config = ing.IngestConfig(
-        to_weight=args.to_weight,
-        cc_weight=args.cc_weight,
-        broadcast_threshold=args.broadcast_threshold,
-        date_start=_parse_utc(args.date_start) if args.date_start else None,
-        date_end=_parse_utc(args.date_end) if args.date_end else None,
-        aliases=aliases,
-    )
+    with _reading_input():
+        config = ing.IngestConfig(
+            to_weight=args.to_weight,
+            cc_weight=args.cc_weight,
+            broadcast_threshold=args.broadcast_threshold,
+            date_start=_parse_utc(args.date_start) if args.date_start else None,
+            date_end=_parse_utc(args.date_end) if args.date_end else None,
+            aliases=ing.read_alias_csv(args.aliases) if args.aliases else {},
+        )
     for path in args.mbox:
         if not Path(path).is_file():
             raise CliError(f"mbox file not found: {path}")
@@ -166,22 +178,20 @@ def cmd_analyze(args) -> int:
     _require(args, "events", "out_dir")
     _check_input_paths(args, "events", "units", "positive", "negative", "reference")
     _check_positive(args, "window_days", "step_days", "response_horizon_hours")
-    events = ing.read_event_csv(args.events)
+    with _reading_input():
+        events = ing.read_event_csv(args.events)
+        mapping = ing.read_unit_csv(args.units) if args.units else None
+        if args.positive or args.negative:
+            if not (args.positive and args.negative):
+                raise CliError("--positive and --negative must be given together")
+            lexicon = sig.load_lexicon(args.positive, args.negative, args.reference)
+        elif args.reference:
+            lexicon = sig.LexiconConfig(
+                reference_dictionary=sig.load_reference_csv(args.reference)
+            )
+        else:
+            lexicon = sig.LexiconConfig()
     events.sort(key=_timestamp)
-
-    if args.units:
-        mapping = ing.read_unit_csv(args.units)
-    else:
-        mapping = None
-
-    if args.positive or args.negative:
-        if not (args.positive and args.negative):
-            raise CliError("--positive and --negative must be given together")
-        lexicon = sig.load_lexicon(args.positive, args.negative, args.reference)
-    elif args.reference:
-        lexicon = sig.LexiconConfig(reference_dictionary=sig.load_reference_csv(args.reference))
-    else:
-        lexicon = sig.LexiconConfig()
 
     signals_path = _out_path(args.out_dir, "signals.csv", args.force)
     if not events:
@@ -189,18 +199,21 @@ def cmd_analyze(args) -> int:
         log.info("analyze: no events; wrote header-only signals.csv")
         return 0
 
-    corpus_start = _parse_utc(args.corpus_start) if args.corpus_start else events[0].timestamp
-    corpus_end = (
-        _parse_utc(args.corpus_end) if args.corpus_end
-        else events[-1].timestamp + timedelta(seconds=1)
-    )
-    window_cfg = TimeWindowConfig(
-        window_length=timedelta(days=args.window_days),
-        step=timedelta(days=args.step_days),
-        corpus_start=corpus_start,
-        corpus_end=corpus_end,
-    )
-    horizon = timedelta(hours=args.response_horizon_hours)
+    with _reading_input():
+        corpus_start = (
+            _parse_utc(args.corpus_start) if args.corpus_start else events[0].timestamp
+        )
+        corpus_end = (
+            _parse_utc(args.corpus_end) if args.corpus_end
+            else events[-1].timestamp + timedelta(seconds=1)
+        )
+        window_cfg = TimeWindowConfig(
+            window_length=timedelta(days=args.window_days),
+            step=timedelta(days=args.step_days),
+            corpus_start=corpus_start,
+            corpus_end=corpus_end,
+        )
+        horizon = timedelta(hours=args.response_horizon_hours)
 
     # one pass groups the events by sender unit; each stream stays time-sorted
     if mapping is None:
@@ -258,9 +271,10 @@ def cmd_analyze(args) -> int:
 def cmd_calibrate(args) -> int:
     _require(args, "signals", "performance", "out_dir")
     _check_input_paths(args, "signals", "performance")
-    rows = sig.read_signals_csv(args.signals)
-    performance = cal.read_performance_csv(args.performance)
-    specs = cal.parse_model_specs(args.models) if args.models else None
+    with _reading_input():
+        rows = sig.read_signals_csv(args.signals)
+        performance = cal.read_performance_csv(args.performance)
+        specs = cal.parse_model_specs(args.models) if args.models else None
     try:
         table = cal.nested_model_table(rows, performance, specs, zscore=args.zscore)
     except ValueError as exc:
@@ -387,13 +401,11 @@ def main(argv: list[str] | None = None) -> int:
             elif token.startswith("--config="):
                 config_path = token.split("=", 1)[1]
         if config_path and argv and argv[0] in subparsers:
-            _apply_config(subparsers[argv[0]], _load_config(config_path))
+            with _reading_input():
+                _apply_config(subparsers[argv[0]], _load_config(config_path))
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, ing.EventSchemaError) as exc:
+    except (CliError, OSError, ing.EventSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # invariant violation: anything unexpected

@@ -4,34 +4,23 @@ Structure metrics run on the symmetrized simple graph (an edge iff a
 message passed in either direction), which keeps the classic Freeman
 extremal cases exact: a star centralizes to 1.0, a cycle to 0.0.
 
-Betweenness is Brandes' algorithm over a CSR adjacency.  The hot kernel
-is compiled (orgsignals._betweenness, Cython) where the extension is
-built.  When it is unavailable, or when ORGSIGNALS_PURE=1 is set, the
-vectorized numpy/scipy.sparse kernel (orgsignals._betweenness_py) with the
-same contract is selected at import time.
+Betweenness is Brandes' algorithm over a CSR adjacency, run by the
+vectorized numpy/scipy.sparse kernel in orgsignals._betweenness_py.
+`_kernel` names that module and `KERNEL_BACKEND` names its backend.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 import numpy as np
 
+from . import _betweenness_py as _kernel
 from .ingest import MessageEvent
 
-if os.environ.get("ORGSIGNALS_PURE"):
-    from . import _betweenness_py as _kernel
-    KERNEL_BACKEND = "python (forced)"
-else:
-    try:
-        from . import _betweenness as _kernel
-        KERNEL_BACKEND = "cython"
-    except ImportError:
-        from . import _betweenness_py as _kernel
-        KERNEL_BACKEND = "python"
+KERNEL_BACKEND = "numpy"
 
 
 class DegenerateWindowError(ValueError):
@@ -149,15 +138,16 @@ def betweenness_centrality(g: WindowedGraph) -> dict[str, float]:
     """Brandes betweenness, normalized by (n-1)(n-2)/2.
 
     Unreachable pairs contribute nothing.  Values are in [0, 1]; with
-    n < 3 every value is zero.
+    n < 3 every value is zero, and n == 2 never reaches the kernel.
     """
     if g.n < 2:
         raise DegenerateWindowError(f"degenerate window {g.window_index}: n={g.n}")
+    if g.n == 2:
+        return dict.fromkeys(g.nodes, 0.0)
     indptr, indices, nodes = _symmetrized_csr(g)
     n = g.n
     scores = _kernel.brandes_accumulate(indptr, indices, n)
-    if n > 2:
-        scores = scores / (2.0 * ((n - 1) * (n - 2) / 2.0))
+    scores = scores / (2.0 * ((n - 1) * (n - 2) / 2.0))
     return {v: float(scores[i]) for i, v in enumerate(nodes)}
 
 

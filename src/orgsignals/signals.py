@@ -283,18 +283,26 @@ def message_emotionality(
     """(emotional-token density, polarity balance) of one message."""
     if not tokens:
         raise ValueError("empty token list")
-    pos = sum(1 for t in tokens if t in lexicon.positive)
-    neg = sum(1 for t in tokens if t in lexicon.negative)
-    hits = pos + neg
+    polarity = _polarity(lexicon)
+    signs = [polarity[t] for t in tokens if t in polarity]
+    hits = len(signs)
     emotionality = hits / len(tokens)
-    sentiment = (pos - neg) / hits if hits else 0.0
+    sentiment = sum(signs) / hits if hits else 0.0
     return emotionality, sentiment
+
+
+def _polarity(lexicon: LexiconConfig) -> dict[str, int]:
+    """Each lexicon word with its sign: +1 positive, -1 negative."""
+    polarity = dict.fromkeys(lexicon.positive, 1)
+    polarity.update(dict.fromkeys(lexicon.negative, -1))
+    return polarity
 
 
 def honest_sentiment(events: list[MessageEvent], lexicon: LexiconConfig) -> float:
     """Population standard deviation of per-message emotionality."""
+    is_emotional = _polarity(lexicon).__contains__
     values = [
-        message_emotionality(e.tokens, lexicon)[0] for e in events if e.tokens
+        sum(map(is_emotional, e.tokens)) / len(e.tokens) for e in events if e.tokens
     ]
     if len(values) < 2:
         raise ValueError("insufficient messages")

@@ -201,6 +201,44 @@ def test_analyze_bad_events_schema_exits_one(tmp_path):
     assert run(["analyze", "--events", events, "--out-dir", tmp_path / "o"]) == 1
 
 
+def test_analyze_internal_value_error_exits_two(tmp_path, scenario_file, monkeypatch, capsys):
+    bundle = simulate(tmp_path, scenario_file)
+
+    def broken(*args, **kwargs):
+        raise ValueError("series length mismatch")
+
+    monkeypatch.setattr(orgsignals.signals, "compute_signal_record", broken)
+    assert run(analyze_args(bundle, tmp_path / "o")) == 2
+    assert "internal error: series length mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case", ["date", "window-nan", "window-inf", "lexicon", "reference", "config"]
+)
+def test_analyze_bad_input_values_exit_one(tmp_path, scenario_file, capsys, case):
+    bundle = simulate(tmp_path, scenario_file)
+    bad = tmp_path / "bad.txt"
+    if case == "date":
+        extra, message = ["--corpus-start", "last tuesday"], "last tuesday"
+    elif case == "window-nan":
+        extra, message = ["--window-days", "nan"], "NaN"
+    elif case == "window-inf":
+        extra, message = ["--step-days", "inf"], "infinity"
+    elif case == "lexicon":
+        word = (bundle / "positive.txt").read_text().split()[0]
+        bad.write_text(word + "\n")
+        extra, message = ["--negative", bad], "lexicons overlap"
+    elif case == "reference":
+        bad.write_text("word,relative_frequency\nhello,often\n")
+        extra, message = ["--reference", bad], "bad frequency"
+    else:
+        bad.write_text("step-days = weekly\n")
+        extra, message = ["--config", bad], "weekly"
+    assert run(analyze_args(bundle, tmp_path / "o", extra)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_analyze_monthly_periods(tmp_path, scenario_file):
     bundle = simulate(tmp_path, scenario_file)
     out = tmp_path / "analysis"

@@ -1,19 +1,22 @@
 """Window construction, centralities, and Freeman centralization."""
 
+import os
 import random
+import sys
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from orgsignals import _betweenness_py
+from orgsignals import _betweenness_py, graph
 from orgsignals.graph import (
     CentralizationError,
     DegenerateWindowError,
     TimeWindowConfig,
     WindowedGraph,
-    _kernel,
     _symmetrized_csr,
     betweenness_centrality,
     build_windows,
@@ -25,12 +28,9 @@ from orgsignals.graph import (
 from conftest import T0, mk_event
 from oracles import brute_betweenness, loop_brandes
 
-KERNELS = [_betweenness_py.brandes_accumulate]
-if _kernel is not _betweenness_py:
-    KERNELS.append(_kernel.brandes_accumulate)
-
+# There is one kernel; the parameter keeps the ids of the kernel tests stable.
 each_kernel = pytest.mark.parametrize(
-    "kernel", KERNELS, ids=lambda k: k.__module__.rsplit(".", 1)[-1]
+    "kernel", [_betweenness_py.brandes_accumulate], ids=["_betweenness_py"]
 )
 
 
@@ -208,6 +208,18 @@ def test_betweenness_n2_is_zero():
     assert betweenness_centrality(g) == {nodes[0]: 0.0, nodes[1]: 0.0}
 
 
+@pytest.mark.parametrize("edges", [[], [(0, 1)], [(1, 0)]], ids=["apart", "ab", "ba"])
+def test_betweenness_n2_skips_the_kernel(monkeypatch, edges):
+    def no_kernel(*args):
+        raise AssertionError("kernel called for n == 2")
+
+    monkeypatch.setattr(graph._kernel, "brandes_accumulate", no_kernel)
+    g, nodes = make_graph(2, edges)
+    result = betweenness_centrality(g)
+    assert result == {nodes[0]: 0.0, nodes[1]: 0.0}
+    assert list(result) == nodes
+
+
 def test_edgeless_graph_all_zero():
     g, nodes = make_graph(4, [])
     assert set(betweenness_centrality(g).values()) == {0.0}
@@ -282,17 +294,60 @@ def test_kernel_matches_loop_brandes_on_larger_graphs(kernel, n, mean_degree):
     )
 
 
-def test_both_kernels_agree_on_larger_graph():
-    if len(KERNELS) < 2:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(7)
-    n = 60
-    edges = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.08}
+def several_blocks_graph():
+    """n = 3 * SOURCE_BLOCK + 5 nodes: a sparse random part, a long path,
+    a star, two dyads and isolated nodes, numbered so that every source
+    block meets more than one component."""
+    n = 3 * _betweenness_py.SOURCE_BLOCK + 5
+    rng = random.Random(2011)
+    order = list(range(n))
+    rng.shuffle(order)
+    random_part, path, star, dyads = order[:200], order[200:330], order[330:350], order[350:354]
+    edges = {
+        (a, b) for i, a in enumerate(random_part) for b in random_part[i + 1:]
+        if rng.random() < 2.5 / len(random_part)
+    }
+    edges |= set(zip(path, path[1:]))
+    edges |= {(star[0], leaf) for leaf in star[1:]}
+    edges |= {(dyads[0], dyads[1]), (dyads[2], dyads[3])}
+    return n, edges, order[354:]
+
+
+def test_kernel_matches_loop_brandes_across_several_blocks():
+    n, edges, isolated = several_blocks_graph()
+    scores = kernel_scores(_betweenness_py.brandes_accumulate, n, edges)
+    assert scores == pytest.approx(loop_brandes(n, edges), rel=1e-12, abs=1e-12)
+    assert all(scores[v] == 0.0 for v in isolated)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_kernel_threads_sum_blocks_in_order(monkeypatch, cpus):
+    # the pool must give the bits of the serial, in-order sum of the blocks
+    n, edges, _ = several_blocks_graph()
     g, _ = make_graph(n, edges)
     indptr, indices, _ = _symmetrized_csr(g)
-    pure = _betweenness_py.brandes_accumulate(indptr, indices, n)
-    fast = KERNELS[1](indptr, indices, n)
-    assert pure == pytest.approx(list(fast), abs=1e-9)
+    adjacency = sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    serial = np.zeros(n)
+    for first in range(0, n, _betweenness_py.SOURCE_BLOCK):
+        serial += _betweenness_py._block_dependencies(adjacency, first, n)
+
+    pools = []
+
+    class RecordingPool(_betweenness_py.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(_betweenness_py, "ThreadPoolExecutor", RecordingPool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        scores = _betweenness_py.brandes_accumulate(indptr, indices, n)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(scores, serial)
+    assert pools == [min(4, cpus)]  # one thread per block, at most one per CPU
 
 
 def test_betweenness_values_in_unit_interval_fuzz():
