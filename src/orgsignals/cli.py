@@ -15,11 +15,12 @@ import json
 import logging
 import re
 import sys
-from bisect import bisect_left
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from . import calibrate as cal
 from . import ingest as ing
@@ -179,6 +180,10 @@ def cmd_analyze(args) -> int:
     _check_input_paths(args, "events", "units", "positive", "negative", "reference")
     _check_positive(args, "window_days", "step_days", "response_horizon_hours")
     with _reading_input():
+        corpus_start = _parse_utc(args.corpus_start) if args.corpus_start else None
+        corpus_end = _parse_utc(args.corpus_end) if args.corpus_end else None
+        if corpus_start is not None and corpus_end is not None and corpus_end <= corpus_start:
+            raise CliError("--corpus-end must be after --corpus-start")
         events = ing.read_event_csv(args.events)
         mapping = ing.read_unit_csv(args.units) if args.units else None
         if args.positive or args.negative:
@@ -191,22 +196,19 @@ def cmd_analyze(args) -> int:
             )
         else:
             lexicon = sig.LexiconConfig()
-    events.sort(key=_timestamp)
+    events = events.time_sorted()
 
     signals_path = _out_path(args.out_dir, "signals.csv", args.force)
-    if not events:
+    if not len(events):
         sig.write_signals_csv([], signals_path)
         log.info("analyze: no events; wrote header-only signals.csv")
         return 0
 
     with _reading_input():
-        corpus_start = (
-            _parse_utc(args.corpus_start) if args.corpus_start else events[0].timestamp
-        )
-        corpus_end = (
-            _parse_utc(args.corpus_end) if args.corpus_end
-            else events[-1].timestamp + timedelta(seconds=1)
-        )
+        if corpus_start is None:
+            corpus_start = ing.stamp_datetime(events.stamp_us[0])
+        if corpus_end is None:
+            corpus_end = ing.stamp_datetime(events.stamp_us[-1]) + timedelta(seconds=1)
         window_cfg = TimeWindowConfig(
             window_length=timedelta(days=args.window_days),
             step=timedelta(days=args.step_days),
@@ -215,7 +217,7 @@ def cmd_analyze(args) -> int:
         )
         horizon = timedelta(hours=args.response_horizon_hours)
 
-    # one pass groups the events by sender unit; each stream stays time-sorted
+    # one stable sort of the rows by sender unit; each stream stays time-sorted
     if mapping is None:
         streams = {"_all": events}
         members: dict[str, set[str] | None] = {"_all": None}
@@ -228,11 +230,20 @@ def cmd_analyze(args) -> int:
             members[ing.EXTERNAL_UNIT] = None
         else:
             members.pop(ing.EXTERNAL_UNIT, None)
-        streams = {unit: [] for unit in members}
-        for e in events:
-            stream = streams.get(mapping.get(e.sender, ing.EXTERNAL_UNIT))
-            if stream is not None:
-                stream.append(e)
+        units = sorted(members)
+        index = {unit: i for i, unit in enumerate(units)}
+        sender_unit = np.array(
+            [index.get(mapping.get(a, ing.EXTERNAL_UNIT), len(units)) for a in events.actors],
+            dtype=np.int64,
+        )[events.sender]
+        rows = np.argsort(sender_unit, kind="stable")
+        bounds = np.searchsorted(sender_unit[rows], np.arange(len(units) + 1)).tolist()
+        streams = {}
+        for unit, first, last in zip(units, bounds, bounds[1:]):
+            if last - first == len(events):
+                streams[unit] = events  # every row, in order: no copy
+            elif first < last:
+                streams[unit] = events.take(rows[first:last])
 
     if args.period == "monthly":
         periods = _month_periods(corpus_start, corpus_end)
@@ -242,11 +253,9 @@ def cmd_analyze(args) -> int:
     records = []
     for unit in sorted(streams):
         stream = streams[unit]
-        if not stream:
-            continue
         for start, end in periods:
-            first = bisect_left(stream, start, key=_timestamp)
-            if first == len(stream) or stream[first].timestamp >= end:
+            first = np.searchsorted(stream.stamp_us, ing.stamp_us(start))
+            if first == len(stream) or stream.stamp_us[first] >= ing.stamp_us(end):
                 continue  # no events in this period
             records.append(sig.compute_signal_record(
                 unit, (start, end), stream, window_cfg, lexicon,
@@ -260,7 +269,7 @@ def cmd_analyze(args) -> int:
             )
 
     sig.write_signals_csv(records, signals_path)
-    log.info("analyze: wrote %d signal rows for %d units", len(records), len(streams))
+    log.info("analyze: wrote %d signal rows for %d units", len(records), len(members))
     return 0
 
 

@@ -4,6 +4,11 @@ Structure metrics run on the symmetrized simple graph (an edge iff a
 message passed in either direction), which keeps the classic Freeman
 extremal cases exact: a star centralizes to 1.0, a cycle to 0.0.
 
+`build_windows` builds every window of an EventTable at once, with its
+directed edges and its symmetrized CSR adjacency, from array operations
+over (window, actor) node codes; a window's edge dict of strings is
+made only when someone looks it up.
+
 Betweenness is Brandes' algorithm over a CSR adjacency, run by the
 vectorized numpy/scipy.sparse kernel in orgsignals._betweenness_py.
 `_kernel` names that module and `KERNEL_BACKEND` names its backend.
@@ -11,14 +16,14 @@ vectorized numpy/scipy.sparse kernel in orgsignals._betweenness_py.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 import numpy as np
 
 from . import _betweenness_py as _kernel
-from .ingest import MessageEvent
+from .ingest import EventTable, MessageEvent, as_event_table, concat_ranges, stamp_us
 
 KERNEL_BACKEND = "numpy"
 
@@ -47,19 +52,98 @@ class TimeWindowConfig:
             raise ValueError("step must be positive")
 
 
+class _WindowEdges(Mapping):
+    """A window's directed edges, (src, dst) -> (count, weight sum).
+
+    Held as arrays of node positions; the dict of strings is made on the
+    first lookup.
+    """
+
+    __slots__ = ("_nodes", "_src", "_dst", "_counts", "_sums", "_dict")
+
+    def __init__(self, nodes, src, dst, counts, sums):
+        self._nodes, self._src, self._dst = nodes, src, dst
+        self._counts, self._sums = counts, sums
+        self._dict = None
+
+    def __len__(self) -> int:
+        return len(self._src)
+
+    def _items(self) -> dict[tuple[str, str], tuple[int, float]]:
+        if self._dict is None:
+            nodes = self._nodes
+            self._dict = {
+                (nodes[src], nodes[dst]): (count, total)
+                for src, dst, count, total in zip(
+                    self._src.tolist(), self._dst.tolist(),
+                    self._counts.tolist(), self._sums.tolist(),
+                )
+            }
+        return self._dict
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __getitem__(self, key):
+        return self._items()[key]
+
+    def __repr__(self) -> str:
+        return repr(self._items())
+
+
 @dataclass(slots=True)
 class WindowedGraph:
-    """Directed weighted multigraph for one window, one edge per actor pair."""
+    """Directed weighted multigraph for one window, one edge per actor pair.
+
+    `nodes` is sorted.  `csr` is the symmetrized simple adjacency over
+    the node positions, (indptr, indices); `adjacency()` makes it from
+    `edges` when it is not given.
+    """
 
     window_index: int
     window_start: datetime
     window_end: datetime
     nodes: list[str] = field(default_factory=list)
-    edges: dict[tuple[str, str], tuple[int, float]] = field(default_factory=dict)
+    edges: Mapping[tuple[str, str], tuple[int, float]] = field(default_factory=dict)
+    csr: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.csr is None:
+            pos = {v: i for i, v in enumerate(self.nodes)}
+            src, dst = np.array(
+                [(pos[a], pos[b]) for a, b in self.edges], dtype=np.int64
+            ).reshape(-1, 2).T
+            indptr, indices = _symmetric_adjacency(src, dst, self.n)
+            self.csr = indptr.astype(np.int32), indices.astype(np.int32)
+        return self.csr
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values: np.unique by one sort, several times
+    faster on these int64 codes than numpy 2's hash-based np.unique."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def _symmetric_adjacency(src: np.ndarray, dst: np.ndarray, n: int
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the simple undirected graph on n nodes with the edges src-dst.
+
+    Loops are dropped and each neighbour is listed once, in order.
+    """
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    pairs = _distinct(np.concatenate([src * n + dst, dst * n + src]))
+    rows, indices = np.divmod(pairs, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, indices
 
 
 def window_spans(cfg: TimeWindowConfig) -> list[tuple[datetime, datetime]]:
@@ -74,64 +158,89 @@ def window_spans(cfg: TimeWindowConfig) -> list[tuple[datetime, datetime]]:
     return spans
 
 
-def build_windows(
-    events: list[MessageEvent],
-    cfg: TimeWindowConfig,
-    unit_filter: tuple[str, dict[str, str]] | None = None,
-) -> list[WindowedGraph]:
+def window_members(table: EventTable, spans: list[tuple[datetime, datetime]]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows and recipient entries of every window of a time-sorted table.
+
+    Returns (window of each row, rows, window of each entry, entries),
+    window after window and in row order within each; a row is in a
+    window iff start <= timestamp < end.
+    """
+    bounds = np.searchsorted(
+        table.stamp_us, [stamp_us(t) for span in spans for t in span], side="left"
+    )
+    firsts, lasts = bounds[0::2], bounds[1::2]
+    windows = np.arange(len(spans))
+    indptr = table.recipient_indptr
+    lo, hi = indptr[firsts], indptr[lasts]
+    return (np.repeat(windows, lasts - firsts), concat_ranges(firsts, lasts),
+            np.repeat(windows, hi - lo), concat_ranges(lo, hi))
+
+
+def build_windows(events: EventTable | list[MessageEvent], cfg: TimeWindowConfig
+                  ) -> list[WindowedGraph]:
     """Build one interaction graph per window position.
 
     `events` must be time-sorted.  A message falls in a window iff
-    window_start <= timestamp < window_end.  With a unit filter
-    (unit name, actor->unit mapping), only events whose sender belongs
-    to that unit contribute.
+    window_start <= timestamp < window_end.
+
+    All windows are built at once.  A window node is a (window, actor)
+    pair, numbered window after window and in address order within a
+    window.  Each recipient entry is an edge between the nodes of its
+    sender and its recipient; the distinct edges, their message counts
+    and their weight sums, accumulated in row order, come from one
+    `np.unique` over the codes src * N + dst, and the symmetrized
+    adjacency of every window from one more sort.
     """
-    if unit_filter is not None:
-        unit, mapping = unit_filter
-        events = [e for e in events if mapping.get(e.sender) == unit]
+    table = as_event_table(events)
+    spans = window_spans(cfg)
+    if not spans:
+        return []
+    k = len(table.actors)
+    row_window, rows, entry_window, entries = window_members(table, spans)
+    src_keys = entry_window * k + table.recipient_senders()[entries]
+    dst_keys = entry_window * k + table.recipient_ids[entries]
+    node_keys = _distinct(np.concatenate([row_window * k + table.sender[rows], dst_keys]))
+    n_total = len(node_keys)
+    offsets = np.searchsorted(node_keys, np.arange(len(spans) + 1) * k).tolist()
+    first_node = np.repeat(offsets[:-1], np.diff(offsets))  # of each node's window
 
-    stamps = [e.timestamp for e in events]
+    codes, inverse = np.unique(
+        np.searchsorted(node_keys, src_keys) * n_total + np.searchsorted(node_keys, dst_keys),
+        return_inverse=True,
+    )
+    counts = np.bincount(inverse, minlength=len(codes))
+    sums = np.bincount(inverse, weights=table.recipient_weights[entries], minlength=len(codes))
+    src, dst = np.divmod(codes, n_total)
+    edge_offsets = np.searchsorted(src, offsets).tolist()
+    src_local, dst_local = src - first_node[src], dst - first_node[dst]
+
+    indptr, indices = _symmetric_adjacency(src, dst, n_total)
+    indices = (indices - first_node[indices]).astype(np.int32)
+
+    actors = table.actors
+    node_names = [actors[a] for a in (node_keys % k).tolist()]
     graphs: list[WindowedGraph] = []
-    for index, (start, end) in enumerate(window_spans(cfg)):
-        lo = bisect_left(stamps, start)
-        hi = bisect_left(stamps, end)
-        edges: dict[tuple[str, str], tuple[int, float]] = {}
-        nodes: set[str] = set()
-        for e in events[lo:hi]:
-            nodes.add(e.sender)
-            for addr, weight in e.recipients:
-                nodes.add(addr)
-                count, total = edges.get((e.sender, addr), (0, 0.0))
-                edges[(e.sender, addr)] = (count + 1, total + weight)
-        graphs.append(WindowedGraph(index, start, end, sorted(nodes), edges))
+    for index, (start, end) in enumerate(spans):
+        lo, hi = offsets[index], offsets[index + 1]
+        e_lo, e_hi = edge_offsets[index], edge_offsets[index + 1]
+        nodes = node_names[lo:hi]
+        edges = _WindowEdges(nodes, src_local[e_lo:e_hi], dst_local[e_lo:e_hi],
+                             counts[e_lo:e_hi], sums[e_lo:e_hi])
+        window_indptr = indptr[lo:hi + 1]
+        csr = ((window_indptr - window_indptr[0]).astype(np.int32),
+               indices[window_indptr[0]:window_indptr[-1]])
+        graphs.append(WindowedGraph(index, start, end, nodes, edges, csr))
     return graphs
-
-
-def _symmetrized_csr(g: WindowedGraph) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Simple undirected adjacency in CSR form, nodes in sorted order."""
-    nodes = g.nodes
-    pos = {v: i for i, v in enumerate(nodes)}
-    neighbours: list[set[int]] = [set() for _ in nodes]
-    for (src, dst) in g.edges:
-        a, b = pos[src], pos[dst]
-        if a != b:
-            neighbours[a].add(b)
-            neighbours[b].add(a)
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
-    flat: list[int] = []
-    for i, ns in enumerate(neighbours):
-        flat.extend(sorted(ns))
-        indptr[i + 1] = len(flat)
-    return indptr, np.asarray(flat, dtype=np.int32), nodes
 
 
 def degree_centrality(g: WindowedGraph) -> dict[str, float]:
     """Freeman degree centrality deg(v)/(n-1) on the symmetrized graph."""
     if g.n < 2:
         raise DegenerateWindowError(f"degenerate window {g.window_index}: n={g.n}")
-    indptr, _, nodes = _symmetrized_csr(g)
+    indptr, _ = g.adjacency()
     denom = g.n - 1
-    return {v: int(indptr[i + 1] - indptr[i]) / denom for i, v in enumerate(nodes)}
+    return {v: int(indptr[i + 1] - indptr[i]) / denom for i, v in enumerate(g.nodes)}
 
 
 def betweenness_centrality(g: WindowedGraph) -> dict[str, float]:
@@ -144,11 +253,11 @@ def betweenness_centrality(g: WindowedGraph) -> dict[str, float]:
         raise DegenerateWindowError(f"degenerate window {g.window_index}: n={g.n}")
     if g.n == 2:
         return dict.fromkeys(g.nodes, 0.0)
-    indptr, indices, nodes = _symmetrized_csr(g)
+    indptr, indices = g.adjacency()
     n = g.n
     scores = _kernel.brandes_accumulate(indptr, indices, n)
     scores = scores / (2.0 * ((n - 1) * (n - 2) / 2.0))
-    return {v: float(scores[i]) for i, v in enumerate(nodes)}
+    return dict(zip(g.nodes, scores.tolist()))
 
 
 def group_centralization(centralities: dict[str, float], kind: str) -> float:

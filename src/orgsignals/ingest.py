@@ -5,6 +5,12 @@ becomes one MessageEvent: canonical lowercase sender, weighted recipients
 (To=1.0, Cc=0.5 by default), UTC timestamp, reply link, and a tokenized
 plain-text body with quoted reply material stripped.  Events round-trip
 through a canonical CSV so later pipeline stages never re-parse mail.
+
+`read_event_csv` reads that CSV into an EventTable: numpy columns of
+epoch-microsecond stamps, actor ids and word ids, with the recipients
+and tokens of each message as CSR rows.  Every analyze stage works on
+those columns; `EventTable.from_events` and `to_events` convert between
+the table and MessageEvent lists.
 """
 
 from __future__ import annotations
@@ -14,11 +20,16 @@ import hashlib
 import html
 import mailbox
 import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from email.header import decode_header, make_header
 from email.utils import getaddresses, parseaddr, parsedate_to_datetime
+from itertools import count
 from pathlib import Path
+
+import numpy as np
 
 EVENT_CSV_COLUMNS = [
     "message_id",
@@ -367,20 +378,313 @@ def write_event_csv(events, path: str | Path) -> None:
             ])
 
 
-def read_event_csv(path: str | Path) -> list[MessageEvent]:
-    """Read the canonical event CSV back into events.
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
-    Equal strings share one object: every distinct address, recipient
-    entry, token and subject is held once however many rows repeat it,
-    and each distinct address has its form checked once.  Raises
-    EventSchemaError naming the offending row and column on any schema
-    violation.
+
+def stamp_us(stamp: datetime) -> int:
+    """Epoch microseconds of an aware datetime, exactly."""
+    return (stamp - _EPOCH) // _MICROSECOND
+
+
+def stamp_datetime(us: int) -> datetime:
+    """The UTC datetime of `us` epoch microseconds."""
+    return _EPOCH + timedelta(microseconds=int(us))
+
+
+def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The positions of the ranges [starts[i], stops[i]), one range after another."""
+    counts = stops - starts
+    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
+def _gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, entry positions) of the CSR rows `rows`, in the order given."""
+    starts, stops = indptr[rows], indptr[rows + 1]
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(stops - starts, out=out[1:])
+    return out, concat_ranges(starts, stops)
+
+
+@dataclass(slots=True, eq=False)
+class EventTable:
+    """Events as columns, one row per message, in the order read.
+
+    Actor ids index `actors` and word ids index `words`.  Both lists
+    are sorted, so ordering ids orders the strings.  The recipients of
+    row i are the entries recipient_indptr[i]:recipient_indptr[i + 1] of
+    the recipient columns, duplicates kept, and its tokens likewise in
+    `token_ids`.
     """
-    events: list[MessageEvent] = []
-    strings: dict[str, str] = {}
-    pairs: dict[str, tuple[str, float]] = {}  # "addr:weight" -> recipient entry
+
+    stamp_us: np.ndarray           # int64 epoch microseconds
+    sender: np.ndarray             # int32 actor id
+    recipient_indptr: np.ndarray   # int64, one more than the rows
+    recipient_ids: np.ndarray      # int32 actor ids
+    recipient_weights: np.ndarray  # float64
+    token_indptr: np.ndarray       # int64, one more than the rows
+    token_ids: np.ndarray          # int32 word ids
+    actors: list[str]
+    words: list[str]
+    message_id: list[str]
+    in_reply_to: list[str | None]
+    subject_key: list[str]
+
+    def __len__(self) -> int:
+        return len(self.stamp_us)
+
+    @classmethod
+    def from_events(cls, events) -> EventTable:
+        table = _TableBuilder()
+        for event in events:
+            table.add(event)
+        return table.finish()
+
+    def to_events(self) -> list[MessageEvent]:
+        actors, words = self.actors, self.words
+        rec_ptr, rec_ids = self.recipient_indptr.tolist(), self.recipient_ids.tolist()
+        weights = self.recipient_weights.tolist()
+        tok_ptr, tok_ids = self.token_indptr.tolist(), self.token_ids.tolist()
+        events = []
+        for i, (us, sender) in enumerate(zip(self.stamp_us.tolist(), self.sender.tolist())):
+            lo, hi = rec_ptr[i], rec_ptr[i + 1]
+            events.append(MessageEvent(
+                message_id=self.message_id[i],
+                timestamp=stamp_datetime(us),
+                sender=actors[sender],
+                recipients=[(actors[a], w) for a, w in zip(rec_ids[lo:hi], weights[lo:hi])],
+                in_reply_to=self.in_reply_to[i],
+                subject_key=self.subject_key[i],
+                tokens=[words[t] for t in tok_ids[tok_ptr[i]:tok_ptr[i + 1]]],
+            ))
+        return events
+
+    def take(self, rows: slice | np.ndarray) -> EventTable:
+        """The given rows, in the order given: a slice (a view) or row indices."""
+        if isinstance(rows, slice):
+            lo, hi, _ = rows.indices(len(self))
+            rows = slice(lo, max(lo, hi))
+            rec = self.recipient_indptr[lo:rows.stop + 1]
+            tok = self.token_indptr[lo:rows.stop + 1]
+            rec_ptr, rec_pick = rec - rec[0], slice(rec[0], rec[-1])
+            tok_ptr, tok_pick = tok - tok[0], slice(tok[0], tok[-1])
+            message_id = self.message_id[rows]
+            in_reply_to = self.in_reply_to[rows]
+            subject_key = self.subject_key[rows]
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            rec_ptr, rec_pick = _gather(self.recipient_indptr, rows)
+            tok_ptr, tok_pick = _gather(self.token_indptr, rows)
+            pick = rows.tolist()
+            message_id = [self.message_id[i] for i in pick]
+            in_reply_to = [self.in_reply_to[i] for i in pick]
+            subject_key = [self.subject_key[i] for i in pick]
+        return EventTable(
+            self.stamp_us[rows], self.sender[rows],
+            rec_ptr, self.recipient_ids[rec_pick], self.recipient_weights[rec_pick],
+            tok_ptr, self.token_ids[tok_pick],
+            self.actors, self.words, message_id, in_reply_to, subject_key,
+        )
+
+    def time_sorted(self) -> EventTable:
+        """The rows in time order, ties in row order; the table itself if sorted."""
+        if np.all(self.stamp_us[1:] >= self.stamp_us[:-1]):
+            return self
+        return self.take(np.argsort(self.stamp_us, kind="stable"))
+
+    def recipient_senders(self) -> np.ndarray:
+        """The sender of each recipient entry."""
+        return np.repeat(self.sender, np.diff(self.recipient_indptr))
+
+
+def as_event_table(events) -> EventTable:
+    """`events` itself if it is an EventTable, else the table of the event list."""
+    return events if isinstance(events, EventTable) else EventTable.from_events(events)
+
+
+class _TableBuilder:
+    """The columns of an EventTable, filled one row at a time."""
+
+    def __init__(self):
+        self.stamps = array("q")
+        self.senders = array("i")
+        self.recipient_indptr = array("q", [0])
+        self.recipient_ids = array("i")
+        self.recipient_weights = array("d")
+        self.token_indptr = array("q", [0])
+        self.token_ids = array("i")
+        self.actor_ids: dict[str, int] = {}  # in order of first sight until finish()
+        self.word_ids: dict[str, int] = defaultdict(count().__next__)
+        self.message_id: list[str] = []
+        self.in_reply_to: list[str | None] = []
+        self.subject_key: list[str] = []
+
+    def actor(self, addr: str) -> int:
+        return self.actor_ids.setdefault(addr, len(self.actor_ids))
+
+    def add(self, event: MessageEvent) -> None:
+        self.stamps.append(stamp_us(event.timestamp))
+        self.senders.append(self.actor(event.sender))
+        for addr, weight in event.recipients:
+            self.recipient_ids.append(self.actor(addr))
+            self.recipient_weights.append(weight)
+        self.recipient_indptr.append(len(self.recipient_ids))
+        self.token_ids.extend(map(self.word_ids.__getitem__, event.tokens))
+        self.token_indptr.append(len(self.token_ids))
+        self.message_id.append(event.message_id)
+        self.in_reply_to.append(event.in_reply_to)
+        self.subject_key.append(event.subject_key)
+
+    def finish(self) -> EventTable:
+        """The table, with actor and word ids renumbered to ranks in sorted order."""
+        actors, actor_rank = _ranks(self.actor_ids)
+        words, word_rank = _ranks(self.word_ids)
+        return EventTable(
+            stamp_us=np.frombuffer(self.stamps, dtype=np.int64),
+            sender=actor_rank[np.frombuffer(self.senders, dtype=np.int32)],
+            recipient_indptr=np.frombuffer(self.recipient_indptr, dtype=np.int64),
+            recipient_ids=actor_rank[np.frombuffer(self.recipient_ids, dtype=np.int32)],
+            recipient_weights=np.frombuffer(self.recipient_weights, dtype=np.float64),
+            token_indptr=np.frombuffer(self.token_indptr, dtype=np.int64),
+            token_ids=word_rank[np.frombuffer(self.token_ids, dtype=np.int32)],
+            actors=actors,
+            words=words,
+            message_id=self.message_id,
+            in_reply_to=self.in_reply_to,
+            subject_key=self.subject_key,
+        )
+
+
+def _ranks(first_seen: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The names sorted, and the rank of each first-seen id among them."""
+    names = sorted(first_seen)
+    rank = dict(zip(names, range(len(names))))
+    return names, np.array([rank[name] for name in first_seen], dtype=np.int32)
+
+
+def _row_event(row: list[str], lineno: int, canonical: set[str]) -> MessageEvent:
+    """Parse and check one CSV row; EventSchemaError names the row and column."""
+    if len(row) != len(EVENT_CSV_COLUMNS):
+        raise EventSchemaError(f"row {lineno}, column count: got {len(row)} fields")
+    msg_id, stamp_raw, sender, recips_raw, reply_raw, subject, tokens_raw = row
+    try:
+        timestamp = datetime.fromisoformat(stamp_raw.replace("Z", "+00:00"))
+    except ValueError:
+        raise EventSchemaError(
+            f"row {lineno}, column timestamp_iso8601_utc: {stamp_raw!r}"
+        ) from None
+    if timestamp.tzinfo is None:
+        raise EventSchemaError(
+            f"row {lineno}, column timestamp_iso8601_utc: missing timezone"
+        )
+    recipients: list[tuple[str, float]] = []
+    for item in recips_raw.split(";"):
+        if not item:
+            continue
+        addr, sep, weight_raw = item.rpartition(":")
+        try:
+            weight = float(weight_raw)
+        except ValueError:
+            sep = ""
+        if not sep:
+            raise EventSchemaError(f"row {lineno}, column recipients: {item!r}")
+        recipients.append((addr, weight))
+    event = MessageEvent(
+        message_id=msg_id,
+        timestamp=timestamp.astimezone(timezone.utc),
+        sender=sender,
+        recipients=recipients,
+        in_reply_to=reply_raw or None,
+        subject_key=subject,
+        tokens=tokens_raw.split(),
+    )
+    try:
+        event.validate(canonical)
+    except ValueError as exc:
+        raise EventSchemaError(f"row {lineno}, column *: {exc}") from None
+    return event
+
+
+def read_event_csv(path: str | Path) -> EventTable:
+    """Read the canonical event CSV into an EventTable, rows in file order.
+
+    A row in the writer's own form (UTC "+00:00" stamps) whose values
+    pass every check goes straight into the columns; each distinct
+    address and recipient list is checked once.  Any other row is parsed
+    and checked field by field (`_row_event`), so a fault raises the same
+    EventSchemaError, naming the same row and column, whichever way the
+    row came in.
+    """
+    table = _TableBuilder()
+    # bound methods and locals: `accept` runs once per row
+    actor_ids, actor, word_id = table.actor_ids, table.actor, table.word_ids.__getitem__
+    recipient_ids, token_ids = table.recipient_ids, table.token_ids
+    add_stamp, add_sender = table.stamps.append, table.senders.append
+    add_recipient_ids, add_weights = recipient_ids.extend, table.recipient_weights.extend
+    end_recipients, end_tokens = table.recipient_indptr.append, table.token_indptr.append
+    add_tokens = token_ids.extend
+    add_message_id, add_reply = table.message_id.append, table.in_reply_to.append
+    add_subject = table.subject_key.append
     canonical: set[str] = set()
-    share = strings.setdefault
+    recipient_lists: dict[str, tuple[list[int], list[float]]] = {}
+    subjects: dict[str, str] = {}
+    share = subjects.setdefault
+    fromisoformat = datetime.fromisoformat
+    n_columns = len(EVENT_CSV_COLUMNS)
+
+    def recipient_list(raw: str) -> tuple[list[int], list[float]] | None:
+        """Actor ids and weights of a recipients cell; None unless all pass."""
+        ids, weights = [], []
+        for item in raw.split(";"):
+            if not item:
+                continue
+            addr, sep, weight_raw = item.rpartition(":")
+            if not sep or not _is_canonical(addr, canonical):
+                return None
+            try:
+                weight = float(weight_raw)
+            except ValueError:
+                return None
+            if not 0.0 < weight <= 1.0:
+                return None
+            ids.append(actor(addr))
+            weights.append(weight)
+        if not ids:
+            return None
+        recipient_lists[raw] = (ids, weights)
+        return ids, weights
+
+    def accept(row: list[str]) -> bool:
+        """Append `row` if it is sure to pass every check; False when in doubt."""
+        if len(row) != n_columns:
+            return False
+        msg_id, stamp_raw, sender, recips_raw, reply_raw, subject, tokens_raw = row
+        if not msg_id or not stamp_raw.endswith("+00:00"):
+            return False
+        try:
+            us = (fromisoformat(stamp_raw) - _EPOCH) // _MICROSECOND
+        except ValueError:
+            return False
+        sender_id = actor_ids.get(sender)
+        if sender_id is None:
+            if not _is_canonical(sender, canonical):
+                return False
+            sender_id = actor(sender)
+        recipients = recipient_lists.get(recips_raw) or recipient_list(recips_raw)
+        if recipients is None or sender_id in recipients[0]:
+            return False
+        add_stamp(us)
+        add_sender(sender_id)
+        add_recipient_ids(recipients[0])
+        add_weights(recipients[1])
+        end_recipients(len(recipient_ids))
+        add_tokens(map(word_id, tokens_raw.split()))
+        end_tokens(len(token_ids))
+        add_message_id(msg_id)
+        add_reply(reply_raw or None)
+        add_subject(share(subject, subject))
+        return True
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -389,50 +693,9 @@ def read_event_csv(path: str | Path) -> list[MessageEvent]:
                 f"row 1, column header: expected {','.join(EVENT_CSV_COLUMNS)}"
             )
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(EVENT_CSV_COLUMNS):
-                raise EventSchemaError(f"row {lineno}, column count: got {len(row)} fields")
-            msg_id, stamp_raw, sender, recips_raw, reply_raw, subject, tokens_raw = row
-            try:
-                timestamp = datetime.fromisoformat(stamp_raw.replace("Z", "+00:00"))
-            except ValueError:
-                raise EventSchemaError(
-                    f"row {lineno}, column timestamp_iso8601_utc: {stamp_raw!r}"
-                ) from None
-            if timestamp.tzinfo is None:
-                raise EventSchemaError(
-                    f"row {lineno}, column timestamp_iso8601_utc: missing timezone"
-                )
-            recipients: list[tuple[str, float]] = []
-            for item in recips_raw.split(";"):
-                if not item:
-                    continue
-                pair = pairs.get(item)
-                if pair is None:
-                    addr, sep, weight_raw = item.rpartition(":")
-                    try:
-                        weight = float(weight_raw)
-                    except ValueError:
-                        sep = ""
-                    if not sep:
-                        raise EventSchemaError(f"row {lineno}, column recipients: {item!r}")
-                    pair = pairs[item] = (share(addr, addr), weight)
-                recipients.append(pair)
-            tokens = tokens_raw.split()
-            event = MessageEvent(
-                message_id=msg_id,
-                timestamp=timestamp.astimezone(timezone.utc),
-                sender=share(sender, sender),
-                recipients=recipients,
-                in_reply_to=reply_raw or None,
-                subject_key=share(subject, subject),
-                tokens=list(map(share, tokens, tokens)),
-            )
-            try:
-                event.validate(canonical)
-            except ValueError as exc:
-                raise EventSchemaError(f"row {lineno}, column *: {exc}") from None
-            events.append(event)
-    return events
+            if not accept(row):
+                table.add(_row_event(row, lineno, canonical))
+    return table.finish()
 
 
 def read_alias_csv(path: str | Path) -> dict[str, str]:

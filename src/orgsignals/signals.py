@@ -5,6 +5,14 @@ balanced_contribution), dynamics (rotating_leadership, responsiveness
 and the other reply metrics), content (honest_sentiment,
 innovative_language).  Every metric degrades to "missing" (None) rather
 than a fake zero when its inputs are insufficient.
+
+Each stage takes an EventTable, or a MessageEvent list that it converts
+once, and counts on its columns: `np.bincount` over actor and word ids,
+`np.add.reduceat` over each message's tokens, and one pass over integer
+actor-pair keys for the reply runs.  Every float that reaches a signal
+gets the same operations as in a walk over event objects (integer
+counts, exactly rounded `fsum`, `(v - mean) ** 2` on Python floats), so
+the values do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -16,21 +24,22 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from itertools import chain, groupby
-from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from .graph import (
     TimeWindowConfig,
     betweenness_centrality,
     build_windows,
     group_centralization,
+    window_members,
 )
-from .ingest import MessageEvent
+from .ingest import EventTable, MessageEvent, as_event_table, stamp_datetime, stamp_us
 
 log = logging.getLogger(__name__)
 
-_timestamp = attrgetter("timestamp")
+Events = EventTable | list[MessageEvent]
 
 SIGNAL_DIMENSIONS = {
     "central_leadership": "structure",
@@ -131,31 +140,44 @@ def contribution_index(sent: int, received: int) -> float:
     return (sent - received) / total
 
 
-def actor_activity(events: list[MessageEvent]) -> dict[str, tuple[int, int]]:
+def _activity(table: EventTable) -> tuple[np.ndarray, np.ndarray]:
+    """Messages sent and recipient entries received, per actor id."""
+    k = len(table.actors)
+    return (np.bincount(table.sender, minlength=k),
+            np.bincount(table.recipient_ids, minlength=k))
+
+
+def _id_mask(names: list[str], wanted) -> np.ndarray:
+    """Which positions of the sorted list `names` hold a name in `wanted`."""
+    mask = np.zeros(len(names), dtype=bool)
+    for name in wanted:
+        i = bisect_left(names, name)
+        if i < len(names) and names[i] == name:
+            mask[i] = True
+    return mask
+
+
+def actor_activity(events: Events) -> dict[str, tuple[int, int]]:
     """Per-actor (sent, received) counts; each recipient occurrence counts 1."""
-    sent: Counter[str] = Counter()
-    received: Counter[str] = Counter()
-    for e in events:
-        sent[e.sender] += 1
-        for addr, _ in e.recipients:
-            received[addr] += 1
-    return {a: (sent[a], received[a]) for a in set(sent) | set(received)}
+    table = as_event_table(events)
+    sent, received = _activity(table)
+    active = np.flatnonzero(sent + received).tolist()
+    return {table.actors[a]: (int(sent[a]), int(received[a])) for a in active}
 
 
-def balanced_contribution(
-    events: list[MessageEvent], actors: set[str] | None = None
-) -> float:
+def balanced_contribution(events: Events, actors: set[str] | None = None) -> float:
     """Population variance of the contribution index over active actors.
 
     `actors` optionally restricts which actors enter the variance (unit
     members, typically); actors with no activity are excluded either way.
     """
-    activity = actor_activity(events)
-    values = [
-        contribution_index(s, r)
-        for a, (s, r) in activity.items()
-        if (actors is None or a in actors) and s + r >= 1
-    ]
+    table = as_event_table(events)
+    sent, received = _activity(table)
+    active = sent + received >= 1
+    if actors is not None:
+        active &= _id_mask(table.actors, actors)
+    s, r = sent[active], received[active]
+    values = ((s - r) / (s + r)).tolist()
     if len(values) < 2:
         raise ValueError("insufficient actors")
     mean = math.fsum(values) / len(values)
@@ -217,7 +239,7 @@ def rotating_leadership(
 # ---------------------------------------------------------------------------
 
 def extract_response_events(
-    events: list[MessageEvent],
+    events: Events,
     max_response_horizon: timedelta = DEFAULT_RESPONSE_HORIZON,
 ) -> list[ResponseEvent]:
     """Find every ordered actor pair's request runs and their replies.
@@ -229,33 +251,46 @@ def extract_response_events(
     Same-second replies are treated as crossing mail and ignored.
 
     One pass in time order keeps the open run of each pair.  Within one
-    second every message first acts as a request, then as a reply, so a
-    reply never closes a run whose last request is in the same second.
+    timestamp every message first acts as a request, then as a reply, so
+    a reply never closes a run whose last request has the same timestamp.
+    Pairs are keyed sender * A + recipient over actor ids, and times are
+    epoch microseconds.
     """
-    # (requester, responder) -> [run start, last request, nudges]
-    open_runs: dict[tuple[str, str], list] = {}
-    out: list[ResponseEvent] = []
-    for stamp, group in groupby(sorted(events, key=_timestamp), key=_timestamp):
-        group = list(group)
-        for e in group:
-            for addr, _ in e.recipients:
-                run = open_runs.get((e.sender, addr))
-                if run is None:
-                    open_runs[(e.sender, addr)] = [stamp, stamp, 1]
-                else:
-                    run[1] = stamp
-                    run[2] += 1
-        for e in group:
-            for addr, _ in e.recipients:
-                run = open_runs.get((addr, e.sender))
-                if run is not None and stamp > run[1]:
-                    del open_runs[(addr, e.sender)]
-                    if stamp - run[0] <= max_response_horizon:
-                        out.append(
-                            ResponseEvent(addr, e.sender, run[0], run[1], stamp, run[2])
-                        )
-    out.sort(key=lambda r: (r.run_start, r.requester, r.responder))
-    return out
+    table = as_event_table(events).time_sorted()
+    k = len(table.actors)
+    horizon = max_response_horizon // timedelta(microseconds=1)
+    src = table.recipient_senders().astype(np.int64)
+    dst = table.recipient_ids.astype(np.int64)
+    stamps = np.repeat(table.stamp_us, np.diff(table.recipient_indptr))
+    requests, replies = (src * k + dst).tolist(), (dst * k + src).tolist()
+    # the first entry of each timestamp, then the end
+    cuts = [*np.flatnonzero(np.diff(stamps, prepend=stamps[:1] - 1)).tolist(), len(stamps)]
+    stamps = stamps.tolist()
+
+    open_runs: dict[int, list] = {}  # pair -> [run start, last request, nudges]
+    closed = []
+    for first, last in zip(cuts, cuts[1:]):
+        stamp = stamps[first]
+        for pair in requests[first:last]:
+            run = open_runs.get(pair)
+            if run is None:
+                open_runs[pair] = [stamp, stamp, 1]
+            else:
+                run[1] = stamp
+                run[2] += 1
+        for pair in replies[first:last]:
+            run = open_runs.get(pair)
+            if run is not None and stamp > run[1]:
+                del open_runs[pair]
+                if stamp - run[0] <= horizon:
+                    closed.append((run[0], *divmod(pair, k), run[1], stamp, run[2]))
+    closed.sort()  # actor ids are ranks, so this is (run_start, requester, responder) order
+    actors = table.actors
+    return [
+        ResponseEvent(actors[requester], actors[responder], stamp_datetime(start),
+                      stamp_datetime(last), stamp_datetime(response_at), nudges)
+        for start, requester, responder, last, response_at, nudges in closed
+    ]
 
 
 def rapid_response(
@@ -298,12 +333,15 @@ def _polarity(lexicon: LexiconConfig) -> dict[str, int]:
     return polarity
 
 
-def honest_sentiment(events: list[MessageEvent], lexicon: LexiconConfig) -> float:
+def honest_sentiment(events: Events, lexicon: LexiconConfig) -> float:
     """Population standard deviation of per-message emotionality."""
-    is_emotional = _polarity(lexicon).__contains__
-    values = [
-        sum(map(is_emotional, e.tokens)) / len(e.tokens) for e in events if e.tokens
-    ]
+    table = as_event_table(events)
+    emotional = _id_mask(table.words, _polarity(lexicon)).view(np.int8)
+    indptr = table.token_indptr
+    lengths = np.diff(indptr)
+    messages = np.flatnonzero(lengths)
+    hits = np.add.reduceat(emotional[table.token_ids], indptr[messages], dtype=np.int64)
+    values = (hits / lengths[messages]).tolist()
     if len(values) < 2:
         raise ValueError("insufficient messages")
     mean = math.fsum(values) / len(values)
@@ -326,6 +364,14 @@ def jensen_shannon_divergence(p: dict[str, float], q: dict[str, float]) -> float
         if qk > 0.0:
             terms.append(0.5 * qk * math.log2(qk / m))
     return min(1.0, max(0.0, math.fsum(terms)))
+
+
+def token_counts(events: Events) -> Counter[str]:
+    """How often each word occurs in the tokens of the events."""
+    table = as_event_table(events)
+    per_word = np.bincount(table.token_ids, minlength=len(table.words))
+    used = np.flatnonzero(per_word)
+    return Counter(dict(zip([table.words[w] for w in used.tolist()], per_word[used].tolist())))
 
 
 def _token_counts(tokens: list[str] | Counter[str]) -> Counter[str]:
@@ -363,28 +409,32 @@ def out_of_vocabulary_rate(
 # Composition
 # ---------------------------------------------------------------------------
 
-def _window_ci_vectors(
-    events: list[MessageEvent], graphs
-) -> list[dict[str, float]]:
-    """Per-window contribution index per actor; inactive actors omitted."""
-    stamps = [e.timestamp for e in events]
-    vectors = []
-    for g in graphs:
-        lo = bisect_left(stamps, g.window_start)
-        hi = bisect_left(stamps, g.window_end)
-        vectors.append(
-            {
-                a: contribution_index(s, r)
-                for a, (s, r) in actor_activity(events[lo:hi]).items()
-            }
-        )
-    return vectors
+def _window_ci_vectors(events: Events, graphs) -> list[dict[str, float]]:
+    """Per-window contribution index per actor; inactive actors omitted.
+
+    The (window, actor) pairs of all windows are counted at once.
+    """
+    table = as_event_table(events)
+    k = len(table.actors)
+    spans = [(g.window_start, g.window_end) for g in graphs]
+    row_window, rows, entry_window, entries = window_members(table, spans)
+    sent_keys = row_window * k + table.sender[rows]
+    active, inverse = np.unique(
+        np.concatenate([sent_keys, entry_window * k + table.recipient_ids[entries]]),
+        return_inverse=True,
+    )
+    sent = np.bincount(inverse[:len(sent_keys)], minlength=len(active))
+    received = np.bincount(inverse[len(sent_keys):], minlength=len(active))
+    values = ((sent - received) / (sent + received)).tolist()
+    names = [table.actors[a] for a in (active % k).tolist()]
+    cuts = np.searchsorted(active, np.arange(len(graphs) + 1) * k).tolist()
+    return [dict(zip(names[lo:hi], values[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def compute_signal_record(
     unit: str,
     period: tuple[datetime, datetime],
-    events: list[MessageEvent],
+    events: Events,
     window_cfg: TimeWindowConfig,
     lexicon: LexiconConfig,
     members: set[str] | None = None,
@@ -401,9 +451,12 @@ def compute_signal_record(
     start, end = period
     if end <= start:
         raise ValueError("empty period")
-    events = events[bisect_left(events, start, key=_timestamp):
-                    bisect_left(events, end, key=_timestamp)]
-    if not events:
+    table = as_event_table(events)
+    first, last = np.searchsorted(
+        table.stamp_us, [stamp_us(start), stamp_us(end)], side="left"
+    ).tolist()
+    events = table.take(slice(first, last))
+    if not len(events):
         raise ValueError(f"unit {unit!r} has no events in period")
     record = SignalRecord(unit=unit, period_start=start, period_end=end)
 
@@ -463,7 +516,7 @@ def compute_signal_record(
     except ValueError:
         pass
 
-    counts = Counter(chain.from_iterable(e.tokens for e in events))
+    counts = token_counts(events)
     if counts and lexicon.reference_dictionary:
         record.innovative_language = innovative_language(counts, lexicon.reference_dictionary)
         record.oov_rate = out_of_vocabulary_rate(counts, lexicon.reference_dictionary)

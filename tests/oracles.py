@@ -4,12 +4,16 @@ These deliberately avoid the library's algorithms: betweenness is checked
 by enumerating all simple paths (and, on graphs too large for that, by
 textbook one-source-at-a-time Brandes), oscillations by a literal
 local-extrema count, response runs by an explicit message-list scanner
-(and, over whole event lists, by one merged sort per actor pair), and OLS
-by the normal equations.
+(and, over whole event lists, by one merged sort per actor pair), OLS
+by the normal equations, and the columnar event stages by walking the
+event objects one at a time.
 """
 
-from collections import defaultdict, deque
+import math
+from bisect import bisect_left
+from collections import Counter, defaultdict, deque
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -159,3 +163,73 @@ def pairwise_response_events(events, horizon) -> list[ResponseEvent]:
 def normal_equations_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Reference OLS solve via (X'X)^-1 X'y."""
     return np.linalg.solve(x.T @ x, x.T @ y)
+
+
+# ---------------------------------------------------------------------------
+# Event-object walks: the references for the columnar stages of graph.py
+# and signals.py, which must match them bit for bit.
+# ---------------------------------------------------------------------------
+
+def loop_windows(events, cfg):
+    """(sorted nodes, edges) of each window, one event object at a time.
+
+    `events` is time-sorted.  Each message in [start, end) adds its sender
+    and recipients as nodes, and one message and its weight to the edge
+    (sender, recipient), in event order.
+    """
+    from orgsignals.graph import window_spans
+
+    stamps = [e.timestamp for e in events]
+    out = []
+    for start, end in window_spans(cfg):
+        edges = {}
+        nodes = set()
+        for e in events[bisect_left(stamps, start):bisect_left(stamps, end)]:
+            nodes.add(e.sender)
+            for addr, weight in e.recipients:
+                nodes.add(addr)
+                count, total = edges.get((e.sender, addr), (0, 0.0))
+                edges[(e.sender, addr)] = (count + 1, total + weight)
+        out.append((sorted(nodes), edges))
+    return out
+
+
+def loop_symmetrized_csr(nodes, edges):
+    """Simple undirected adjacency (indptr, indices) over `nodes`, from sets."""
+    pos = {v: i for i, v in enumerate(nodes)}
+    neighbours = [set() for _ in nodes]
+    for src, dst in edges:
+        a, b = pos[src], pos[dst]
+        if a != b:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    indptr = [0]
+    flat = []
+    for ns in neighbours:
+        flat.extend(sorted(ns))
+        indptr.append(len(flat))
+    return np.array(indptr), np.array(flat, dtype=np.int64)
+
+
+def loop_actor_activity(events):
+    """Per-actor (sent, received) counts; each recipient occurrence counts 1."""
+    sent, received = Counter(), Counter()
+    for e in events:
+        sent[e.sender] += 1
+        for addr, _ in e.recipients:
+            received[addr] += 1
+    return {a: (sent[a], received[a]) for a in set(sent) | set(received)}
+
+
+def loop_honest_sentiment(events, lexicon):
+    """Population standard deviation of per-message emotional-token density."""
+    emotional = lexicon.positive | lexicon.negative
+    values = [sum(t in emotional for t in e.tokens) / len(e.tokens) for e in events if e.tokens]
+    if len(values) < 2:
+        raise ValueError("insufficient messages")
+    mean = math.fsum(values) / len(values)
+    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+
+
+def loop_token_counts(events):
+    return Counter(chain.from_iterable(e.tokens for e in events))

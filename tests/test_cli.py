@@ -239,6 +239,16 @@ def test_analyze_bad_input_values_exit_one(tmp_path, scenario_file, capsys, case
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("period", ["whole", "monthly"])
+def test_analyze_inverted_corpus_range_exits_one(tmp_path, scenario_file, capsys, period):
+    bundle = simulate(tmp_path, scenario_file)
+    out = tmp_path / "o"
+    extra = ["--period", period, "--corpus-start", "2024-03-01", "--corpus-end", "2024-01-01"]
+    assert run(analyze_args(bundle, out, extra)) == 1
+    assert capsys.readouterr().err == "error: --corpus-end must be after --corpus-start\n"
+    assert not (out / "signals.csv").exists()
+
+
 def test_analyze_monthly_periods(tmp_path, scenario_file):
     bundle = simulate(tmp_path, scenario_file)
     out = tmp_path / "analysis"
@@ -432,7 +442,8 @@ def test_analyze_interleaved_units_match_filtered_streams(tmp_path, mixed_bundle
         got = list(csv.reader(fh))[1:]
 
     # the records built one unit and one period at a time, by filtering
-    events = sorted(read_event_csv(mixed_bundle / "events.csv"), key=lambda e: e.timestamp)
+    events = sorted(read_event_csv(mixed_bundle / "events.csv").to_events(),
+                    key=lambda e: e.timestamp)
     mapping = read_unit_csv(mixed_bundle / "units.csv")
     lexicon = load_lexicon(mixed_bundle / "positive.txt", mixed_bundle / "negative.txt",
                            mixed_bundle / "reference_dictionary.csv")

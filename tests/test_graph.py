@@ -17,7 +17,6 @@ from orgsignals.graph import (
     DegenerateWindowError,
     TimeWindowConfig,
     WindowedGraph,
-    _symmetrized_csr,
     betweenness_centrality,
     build_windows,
     degree_centrality,
@@ -92,17 +91,6 @@ def test_sliding_windows_event_membership_matches_enumeration():
 def test_empty_corpus_range_gives_no_windows():
     cfg = TimeWindowConfig(corpus_start=T0, corpus_end=T0)
     assert build_windows([], cfg) == []
-
-
-def test_unit_filter_keeps_only_unit_senders():
-    mapping = {"a@x.com": "u1", "b@x.com": "u2"}
-    events = [
-        mk_event("a@x.com", ["b@x.com"], hours=0),
-        mk_event("b@x.com", ["a@x.com"], hours=1),
-    ]
-    cfg = TimeWindowConfig(corpus_start=T0, corpus_end=T0 + timedelta(days=7))
-    (g,) = build_windows(events, cfg, unit_filter=("u1", mapping))
-    assert list(g.edges) == [("a@x.com", "b@x.com")]
 
 
 def test_window_isolation_under_added_edge():
@@ -230,7 +218,7 @@ def test_edgeless_graph_all_zero():
 def kernel_scores(kernel, n, edges):
     """Ordered-pair scores of `kernel` on the graph over nodes 0..n-1."""
     g, _ = make_graph(n, edges)
-    indptr, indices, _ = _symmetrized_csr(g)
+    indptr, indices = g.adjacency()
     return list(kernel(indptr, indices, n))
 
 
@@ -246,7 +234,7 @@ def test_betweenness_matches_brute_force_random_graphs(kernel):
             if rng.random() < rng.choice([0.2, 0.4, 0.7])
         }
         g, nodes = make_graph(n, edges)
-        indptr, indices, _ = _symmetrized_csr(g)
+        indptr, indices = g.adjacency()
         scores = kernel(indptr, indices, n)
         normalized = [s / ((n - 1) * (n - 2)) for s in scores]
         expected = brute_betweenness(n, edges)
@@ -325,7 +313,7 @@ def test_kernel_threads_sum_blocks_in_order(monkeypatch, cpus):
     # the pool must give the bits of the serial, in-order sum of the blocks
     n, edges, _ = several_blocks_graph()
     g, _ = make_graph(n, edges)
-    indptr, indices, _ = _symmetrized_csr(g)
+    indptr, indices = g.adjacency()
     adjacency = sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
     serial = np.zeros(n)
     for first in range(0, n, _betweenness_py.SOURCE_BLOCK):

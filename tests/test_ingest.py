@@ -288,7 +288,7 @@ def test_event_csv_round_trip_small(tmp_path):
     ]
     path = tmp_path / "events.csv"
     write_event_csv(events, path)
-    back = read_event_csv(path)
+    back = read_event_csv(path).to_events()
     assert back == sorted(events, key=lambda e: e.timestamp)
 
 
@@ -326,7 +326,7 @@ def event_strategy(draw, index):
 def test_event_csv_round_trip_fuzzed(tmp_path_factory, events):
     path = tmp_path_factory.mktemp("csv") / "events.csv"
     write_event_csv(list(events), path)
-    back = read_event_csv(path)
+    back = read_event_csv(path).to_events()
     assert back == sorted(events, key=lambda e: e.timestamp)
     for event in back:
         event.validate()
@@ -344,7 +344,7 @@ def test_event_csv_bad_timestamp_names_row(tmp_path):
 def test_event_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_event_csv([], path)
-    assert read_event_csv(path) == []
+    assert read_event_csv(path).to_events() == []
 
 
 def test_event_csv_wrong_header(tmp_path):
@@ -437,7 +437,7 @@ def test_event_csv_repeats_share_one_string(tmp_path):
         mk_event("a@x.com", ["b@x.com"], hours=1, tokens=["plan", "plan", "notes"]),
         mk_event("b@x.com", ["a@x.com", "c@x.com"], hours=2, tokens=["plan"]),
     ], path)
-    first, second = read_event_csv(path)
+    first, second = read_event_csv(path).to_events()
     assert first.tokens[0] is first.tokens[1] is second.tokens[0]
     assert first.sender is second.recipients[0][0]
     assert first.recipients[0][0] is second.sender

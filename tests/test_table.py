@@ -1,0 +1,148 @@
+"""The columnar event table, and its stages against the event-object walks."""
+
+import math
+from datetime import datetime, timedelta, timezone
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orgsignals.graph import TimeWindowConfig, WindowedGraph, build_windows
+from orgsignals.ingest import EventTable, MessageEvent, read_event_csv, write_event_csv
+from orgsignals.signals import (
+    LexiconConfig,
+    _window_ci_vectors,
+    actor_activity,
+    balanced_contribution,
+    contribution_index,
+    honest_sentiment,
+    token_counts,
+)
+
+from conftest import T0, mk_event
+from oracles import (
+    loop_actor_activity,
+    loop_honest_sentiment,
+    loop_symmetrized_csr,
+    loop_token_counts,
+    loop_windows,
+)
+
+ACTORS = ["amy@x.com", "bob@x.com", "cy@x.com", "dee@x.com", "ed@x.com"]
+WORDS = ["great", "terrible", "plan", "notes", "draft"]
+LEX = LexiconConfig(positive={"great"}, negative={"terrible"})
+
+
+@st.composite
+def event_lists(draw):
+    """Unsorted messages among five actors.
+
+    Recipients repeat, a sender may mail itself (a one-node window),
+    many messages share one second, some stamps have microseconds, and
+    some messages have no tokens.
+    """
+    events = []
+    for i in range(draw(st.integers(0, 30))):
+        sender = draw(st.sampled_from(ACTORS))
+        pool = ACTORS if draw(st.integers(0, 9)) == 0 else [a for a in ACTORS if a != sender]
+        recipients = draw(st.lists(
+            st.tuples(st.sampled_from(pool), st.sampled_from([1.0, 0.5, 0.1, 0.2, 0.7])),
+            min_size=1, max_size=4,
+        ))
+        stamp = T0 + timedelta(
+            hours=draw(st.integers(0, 60)),
+            seconds=draw(st.sampled_from([0, 0, 1])),
+            microseconds=draw(st.sampled_from([0, 0, 1, 250_000])),
+        )
+        events.append(MessageEvent(
+            message_id=f"<t{i}@x>", timestamp=stamp, sender=sender, recipients=recipients,
+            tokens=draw(st.lists(st.sampled_from(WORDS), max_size=5)),
+        ))
+    return events
+
+
+@given(event_lists(), st.integers(1, 30), st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_columnar_stages_match_event_walks(events, length, step):
+    ordered = sorted(events, key=lambda e: e.timestamp)
+    cfg = TimeWindowConfig(timedelta(hours=length), timedelta(hours=step), T0,
+                           T0 + timedelta(hours=70))
+    graphs = build_windows(ordered, cfg)
+    expected = loop_windows(ordered, cfg)
+    assert len(graphs) == len(expected)
+    for g, (nodes, edges) in zip(graphs, expected):
+        assert g.nodes == nodes
+        assert len(g.edges) == len(edges) and dict(g.edges) == edges
+        want = loop_symmetrized_csr(nodes, edges)
+        hand_built = WindowedGraph(0, T0, T0, nodes, edges)
+        for csr in (g.csr, hand_built.adjacency()):
+            assert np.array_equal(csr[0], want[0]) and np.array_equal(csr[1], want[1])
+    assert _window_ci_vectors(ordered, graphs) == [
+        {a: contribution_index(s, r) for a, (s, r) in loop_actor_activity(
+            [e for e in ordered if g.window_start <= e.timestamp < g.window_end]).items()}
+        for g in graphs
+    ]
+
+    assert actor_activity(events) == loop_actor_activity(events)
+    assert token_counts(events) == loop_token_counts(events)
+    assert outcome(honest_sentiment, events, LEX) == outcome(loop_honest_sentiment, events, LEX)
+    assert outcome(balanced_contribution, events) == outcome(loop_balanced_contribution, events)
+
+
+def outcome(stage, *args):
+    """The value of stage(*args), or ValueError when it raises one."""
+    try:
+        return stage(*args)
+    except ValueError:
+        return ValueError
+
+
+def loop_balanced_contribution(events):
+    values = [contribution_index(s, r) for s, r in loop_actor_activity(events).values()]
+    if len(values) < 2:
+        raise ValueError("insufficient actors")
+    mean = math.fsum(values) / len(values)
+    return math.fsum((v - mean) ** 2 for v in values) / len(values)
+
+
+@given(event_lists(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_table_round_trips_and_takes_rows(events, data):
+    table = EventTable.from_events(events)
+    assert len(table) == len(events)
+    assert table.to_events() == events
+    assert table.actors == sorted(table.actors) and table.words == sorted(table.words)
+    rows = data.draw(st.lists(st.integers(0, max(len(events) - 1, 0)), max_size=8)
+                     if events else st.just([]))
+    assert table.take(np.array(rows, dtype=np.intp)).to_events() == [events[i] for i in rows]
+    lo, hi = data.draw(st.integers(0, len(events))), data.draw(st.integers(0, len(events)))
+    assert table.take(slice(lo, hi)).to_events() == events[lo:hi]
+
+
+def test_rows_off_the_fast_path_read_the_same(tmp_path):
+    events = [
+        mk_event("a@x.com", ["b@x.com", ("c@x.com", 0.5)], hours=1, tokens=["plan", "plan"]),
+        mk_event("b@x.com", ["a@x.com"], hours=2.5, in_reply_to="<r@x>", subject_key="hi"),
+    ]
+    canonical, variant = tmp_path / "canonical.csv", tmp_path / "variant.csv"
+    write_event_csv(events, canonical)
+    text = canonical.read_text()
+    # a "Z" stamp, an offset stamp and a recipient weight in another spelling
+    variant.write_text(text.replace("01:00:00+00:00", "01:00:00Z")
+                       .replace("2024-01-01T02:30:00+00:00", "2024-01-01T03:30:00+01:00")
+                       .replace("c@x.com:0.5", "c@x.com:0.50"))
+    assert variant.read_text() != text
+    assert read_event_csv(variant).to_events() == read_event_csv(canonical).to_events() == events
+
+
+def test_fractional_second_stamps_keep_their_microseconds(tmp_path):
+    offsets = [1, 999_999, 1_000_001]
+    events = [MessageEvent(f"<f{i}@x>", T0 + timedelta(microseconds=us), "a@x.com",
+                           [("b@x.com", 1.0)], tokens=["plan"])
+              for i, us in enumerate(offsets)]
+    path = tmp_path / "events.csv"
+    write_event_csv(events, path)
+    table = read_event_csv(path)
+    t0_us = (T0 - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(microseconds=1)
+    assert table.stamp_us.tolist() == [t0_us + us for us in offsets]
+    assert table.to_events() == events
