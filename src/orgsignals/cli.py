@@ -17,7 +17,6 @@ import re
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +28,6 @@ from . import synth
 from .graph import TimeWindowConfig, build_windows, write_window_csv
 
 log = logging.getLogger("orgsignals")
-
-_timestamp = attrgetter("timestamp")
 
 
 class CliError(Exception):
@@ -106,6 +103,12 @@ def _check_positive(args, *names: str) -> None:
             raise CliError(f"--{name.replace('_', '-')} must be positive")
 
 
+def _check_range(start: datetime | None, end: datetime | None, flag: str) -> None:
+    """Refuse an empty or inverted [start, end) range; `flag` names its options."""
+    if start is not None and end is not None and end <= start:
+        raise CliError(f"--{flag}-end must be after --{flag}-start")
+
+
 def _out_path(out_dir: str, name: str, force: bool) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -127,12 +130,15 @@ def cmd_ingest(args) -> int:
     _require(args, "mbox", "out_dir")
     _check_input_paths(args, "aliases")
     with _reading_input():
+        date_start = _parse_utc(args.date_start) if args.date_start else None
+        date_end = _parse_utc(args.date_end) if args.date_end else None
+        _check_range(date_start, date_end, "date")
         config = ing.IngestConfig(
             to_weight=args.to_weight,
             cc_weight=args.cc_weight,
             broadcast_threshold=args.broadcast_threshold,
-            date_start=_parse_utc(args.date_start) if args.date_start else None,
-            date_end=_parse_utc(args.date_end) if args.date_end else None,
+            date_start=date_start,
+            date_end=date_end,
             aliases=ing.read_alias_csv(args.aliases) if args.aliases else {},
         )
     for path in args.mbox:
@@ -140,7 +146,6 @@ def cmd_ingest(args) -> int:
             raise CliError(f"mbox file not found: {path}")
     report = ing.IngestReport()
     events = ing.parse_mbox(args.mbox, config, report)
-    events.sort(key=_timestamp)
 
     events_path = _out_path(args.out_dir, "events.csv", args.force)
     report_path = _out_path(args.out_dir, "ingest_report.json", args.force)
@@ -182,8 +187,7 @@ def cmd_analyze(args) -> int:
     with _reading_input():
         corpus_start = _parse_utc(args.corpus_start) if args.corpus_start else None
         corpus_end = _parse_utc(args.corpus_end) if args.corpus_end else None
-        if corpus_start is not None and corpus_end is not None and corpus_end <= corpus_start:
-            raise CliError("--corpus-end must be after --corpus-start")
+        _check_range(corpus_start, corpus_end, "corpus")
         events = ing.read_event_csv(args.events)
         mapping = ing.read_unit_csv(args.units) if args.units else None
         if args.positive or args.negative:
@@ -209,6 +213,7 @@ def cmd_analyze(args) -> int:
             corpus_start = ing.stamp_datetime(events.stamp_us[0])
         if corpus_end is None:
             corpus_end = ing.stamp_datetime(events.stamp_us[-1]) + timedelta(seconds=1)
+        _check_range(corpus_start, corpus_end, "corpus")
         window_cfg = TimeWindowConfig(
             window_length=timedelta(days=args.window_days),
             step=timedelta(days=args.step_days),

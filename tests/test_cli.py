@@ -95,6 +95,39 @@ def test_ingest_idempotent_with_no_timestamps(tmp_path):
     assert (out1 / "events.csv").read_bytes() == (out2 / "events.csv").read_bytes()
 
 
+@pytest.mark.parametrize("end", ["2024-01-01", "2023-06-01"])
+def test_ingest_empty_or_inverted_date_range_exits_one(tmp_path, monkeypatch, capsys, end):
+    mbox = tmp_path / "in.mbox"
+    make_mbox(mbox, [(BASE_HEADERS, "x y")])
+
+    def unread(*args, **kwargs):
+        raise AssertionError("an archive was read")
+
+    monkeypatch.setattr(orgsignals.ingest, "parse_mbox", unread)
+    out = tmp_path / "o"
+    assert run(["ingest", mbox, "--out-dir", out,
+                "--date-start", "2024-01-01", "--date-end", end]) == 1
+    assert capsys.readouterr().err == "error: --date-end must be after --date-start\n"
+    assert not out.exists()
+
+
+def test_ingest_fault_outside_one_message_exits_two(tmp_path, monkeypatch, capsys):
+    mbox = tmp_path / "in.mbox"
+    make_mbox(mbox, [(BASE_HEADERS, "x y"), ({**BASE_HEADERS, "Message-ID": "<m2@x.com>"}, "z")])
+    real = orgsignals.ingest._mbox_messages
+
+    def failing(*piece):
+        messages = real(*piece)
+        yield next(messages)
+        raise RuntimeError("lost the archive")
+
+    monkeypatch.setattr(orgsignals.ingest, "_mbox_messages", failing)
+    out = tmp_path / "o"
+    assert run(["ingest", mbox, "--out-dir", out]) == 2
+    assert capsys.readouterr().err == "internal error: lost the archive\n"
+    assert not (out / "ingest_report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -245,6 +278,18 @@ def test_analyze_inverted_corpus_range_exits_one(tmp_path, scenario_file, capsys
     out = tmp_path / "o"
     extra = ["--period", period, "--corpus-start", "2024-03-01", "--corpus-end", "2024-01-01"]
     assert run(analyze_args(bundle, out, extra)) == 1
+    assert capsys.readouterr().err == "error: --corpus-end must be after --corpus-start\n"
+    assert not (out / "signals.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--corpus-end", "2023-06-01"],    # before the first event
+    ["--corpus-start", "2025-06-01"],  # after the last event
+])
+def test_analyze_range_inverted_by_one_flag_exits_one(tmp_path, scenario_file, capsys, extra):
+    bundle = simulate(tmp_path, scenario_file)
+    out = tmp_path / "o"
+    assert run(["analyze", "--events", bundle / "events.csv", "--out-dir", out, *extra]) == 1
     assert capsys.readouterr().err == "error: --corpus-end must be after --corpus-start\n"
     assert not (out / "signals.csv").exists()
 

@@ -1,7 +1,12 @@
 """Mbox parsing, actor canonicalization, tokenization, and event CSV I/O."""
 
+import concurrent.futures
+import mailbox
+import os
 import string
+from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +29,9 @@ from orgsignals.ingest import (
     write_event_csv,
 )
 
+import orgsignals.ingest as ingest
 from conftest import T0, mk_event
+from test_integration import unit_events
 
 
 # ---------------------------------------------------------------------------
@@ -515,3 +522,174 @@ def test_duplicate_across_archives_kept_once(tmp_path):
     events = parse_mbox([first, second], report=report)
     assert [e.message_id for e in events] == ["<m1@x.com>", "<m2@x.com>"]
     assert (report.parsed, report.deduped) == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# byte-range splitting, checked against mailbox.mbox
+# ---------------------------------------------------------------------------
+
+# Concatenated, these make lines of every kind the splitter must tell
+# apart: "From " lines (in bodies too, unescaped), CRLF and bare "\r"
+# endings, runs of blank lines ("\n" is listed twice to come up more
+# often), junk before the first "From " line, a "From" without its
+# space, a last line without a newline and, from no fragments, an empty
+# file.
+MBOX_FRAGMENTS = [
+    b"From a@x.com Mon Jan  1 00:00:00 2024\n", b"From \n", b"From x\r\n",
+    b"\n", b"\n", b"\r\n", b"body text\n", b">From quoted\n", b"Subject: s\r\n",
+    b"From", b" ", b"x", b"\r",
+]
+
+
+def mailbox_messages(path):
+    box = mailbox.mbox(str(path), create=False)
+    try:
+        return [box.get_bytes(key) for key in box.keys()]
+    finally:
+        box.close()
+
+
+@given(st.lists(st.sampled_from(MBOX_FRAGMENTS), max_size=40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mbox_ranges_split_like_mailbox(tmp_path_factory, fragments, data):
+    path = tmp_path_factory.mktemp("split") / "box.mbox"
+    path.write_bytes(b"".join(fragments))
+    size = path.stat().st_size
+    expected = mailbox_messages(path)
+    assert list(ingest._mbox_messages(path, 0, size)) == expected
+
+    cuts = sorted(data.draw(st.lists(st.integers(0, size), max_size=6)))
+    bounds = [0, *cuts, size]
+    assert [raw for start, stop in zip(bounds, bounds[1:])
+            for raw in ingest._mbox_messages(path, start, stop)] == expected
+
+    piece_bytes = data.draw(st.integers(1, size + 1))
+    pieces = ingest._pieces([path], [size], piece_bytes)
+    assert [raw for piece in pieces for raw in ingest._mbox_messages(*piece)] == expected
+
+
+# ---------------------------------------------------------------------------
+# the worker pool gives what the in-process path gives
+# ---------------------------------------------------------------------------
+
+class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    """A ProcessPoolExecutor that records the pieces mapped over it."""
+
+    pieces = []
+
+    def map(self, fn, pieces, **kwargs):
+        RecordingPool.pieces = list(pieces)
+        return super().map(fn, RecordingPool.pieces, **kwargs)
+
+
+def use_pool_of_small_pieces(monkeypatch):
+    """Make parse_mbox cut pieces of about 300 bytes and parse them on a
+    pool of three workers, whatever the number of CPUs."""
+    monkeypatch.setattr(ingest, "_MIN_PIECE_BYTES", 300)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.pieces = []
+
+
+def varied_mbox(path, first_id):
+    """Messages that parse_mbox parses, skips and drops as broadcasts, and
+    at the end a duplicate of the first one."""
+    first = {**BASE_HEADERS, "Message-ID": first_id}
+    no_date = {k: v for k, v in BASE_HEADERS.items() if k != "Date"}
+    make_mbox(path, [
+        (first, "first words"),
+        ({**BASE_HEADERS, "Message-ID": "<cc@x.com>", "Cc": "C@x.com, a@x.com"}, "cc words"),
+        ({**no_date, "Message-ID": "<nodate@x.com>"}, "never parsed"),
+        ({**BASE_HEADERS, "Message-ID": "<wide@x.com>",
+          "To": ", ".join(f"r{i}@x.com" for i in range(5))}, "to everyone"),
+        ({**BASE_HEADERS, "Message-ID": "<late@x.com>",
+          "Date": "Sun, 1 Dec 2024 00:00:00 +0000"}, "out of range"),
+        ({**BASE_HEADERS, "Message-ID": "<enc@x.com>",
+          "From": "=?utf-8?q?M=C3=BCller=2C_J=C3=BCrgen?= <JM@x.com>"},
+         "new text\n> quoted text\nOn Mon, Jan 1, a@x.com wrote:\nold text"),
+        (first, "first words again"),
+    ])
+
+
+def integration_mbox(path):
+    """The events of tests/test_integration.py as mail, one message each."""
+    messages = []
+    for index in range(16):
+        for event in unit_events(index)[1]:
+            messages.append(({
+                "From": event.sender,
+                "To": ", ".join(addr for addr, _ in event.recipients),
+                "Date": format_datetime(event.timestamp),
+                "Message-ID": event.message_id,
+                "Subject": f"Re: round {index}",
+            }, " ".join(event.tokens)))
+    make_mbox(path, messages)
+
+
+def test_pool_matches_in_process_with_duplicates(tmp_path, monkeypatch):
+    one, two = tmp_path / "one.mbox", tmp_path / "two.mbox"
+    varied_mbox(one, "<first@x.com>")
+    varied_mbox(two, "<second@x.com>")  # all but its first message repeat one.mbox
+    config = IngestConfig(broadcast_threshold=3,
+                          date_end=datetime(2024, 6, 1, tzinfo=timezone.utc))
+    alone = IngestReport()
+    expected = parse_mbox([one, two], config, alone)
+    assert alone == IngestReport(parsed=4, skipped=4, deduped=4, broadcast_dropped=2)
+
+    use_pool_of_small_pieces(monkeypatch)
+    pooled = IngestReport()
+    assert parse_mbox([one, two], config, pooled) == expected
+    assert pooled == alone
+    # the last message of one.mbox repeats its first from a later piece
+    last = one.read_bytes().rindex(b"\nFrom ") + 1
+    starts = [start for path, start, stop in RecordingPool.pieces
+              if path == str(one) and start <= last < stop]
+    assert starts[0] > 0
+
+
+def test_pool_matches_in_process_on_integration_corpus(tmp_path, monkeypatch):
+    path = tmp_path / "chain.mbox"
+    integration_mbox(path)
+    alone = IngestReport()
+    expected = parse_mbox(path, report=alone)
+    assert alone == IngestReport(parsed=728)
+
+    use_pool_of_small_pieces(monkeypatch)
+    pooled = IngestReport()
+    assert parse_mbox(path, report=pooled) == expected
+    assert pooled == alone
+    assert len(RecordingPool.pieces) > 3
+
+
+class ExitWhenUnpickled:
+    """Ends the process that unpickles it."""
+
+    def __reduce__(self):
+        return os._exit, (3,)
+
+
+def test_pool_fault_propagates_and_is_not_skipped(tmp_path, monkeypatch):
+    path = tmp_path / "one.mbox"
+    varied_mbox(path, "<first@x.com>")
+    use_pool_of_small_pieces(monkeypatch)
+    report = IngestReport()
+    with pytest.raises(BrokenProcessPool):
+        parse_mbox(path, IngestConfig(aliases={"a@x.com": ExitWhenUnpickled()}), report)
+    assert report == IngestReport()
+
+
+def test_read_fault_propagates_and_is_not_skipped(tmp_path, monkeypatch):
+    path = tmp_path / "one.mbox"
+    varied_mbox(path, "<first@x.com>")
+    real = ingest._mbox_messages
+
+    def failing(*piece):
+        messages = real(*piece)
+        yield next(messages)
+        raise OSError("read error")
+
+    monkeypatch.setattr(ingest, "_mbox_messages", failing)
+    report = IngestReport()
+    with pytest.raises(OSError, match="read error"):
+        parse_mbox(path, report=report)
+    assert report == IngestReport()
