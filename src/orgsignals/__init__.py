@@ -6,7 +6,8 @@ interaction graphs, compute six signal metrics per organizational unit
 variable with nested OLS models.
 """
 
-from .graph import KERNEL_BACKEND
+# the betweenness kernel behind `graph`: orgsignals._betweenness_py
+KERNEL_BACKEND = "numpy"
 
 __version__ = "0.1.0"
 

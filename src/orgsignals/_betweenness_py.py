@@ -26,11 +26,12 @@ products and the ufuncs release the GIL.  The blocks are summed in block
 order, so the scores do not depend on the number of threads.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
+
+from .ingest import _usable_cpus
 
 # Sources per block.  Bounds the working set to a few (n, SOURCE_BLOCK)
 # matrices.  On 500-node windows, blocks of 64 to 512 sources ran equally
@@ -54,12 +55,7 @@ def brandes_accumulate(indptr, indices, n: int) -> np.ndarray:
 
     firsts = range(0, n, SOURCE_BLOCK)
     scores = np.zeros(n, dtype=np.float64)
-    # the CPUs this process may use; sched_getaffinity exists on Linux only
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(len(firsts), cpus)
+    workers = min(len(firsts), _usable_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         blocks = pool.map(lambda first: _block_dependencies(adjacency, first, n), firsts)
         for block in blocks:

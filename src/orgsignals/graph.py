@@ -11,7 +11,8 @@ made only when someone looks it up.
 
 Betweenness is Brandes' algorithm over a CSR adjacency, run by the
 vectorized numpy/scipy.sparse kernel in orgsignals._betweenness_py.
-`_kernel` names that module and `KERNEL_BACKEND` names its backend.
+`_kernel` names that module and `orgsignals.KERNEL_BACKEND` names its
+backend.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import numpy as np
 
 from . import _betweenness_py as _kernel
 from .ingest import EventTable, MessageEvent, as_event_table, concat_ranges, stamp_us
-
-KERNEL_BACKEND = "numpy"
 
 
 class DegenerateWindowError(ValueError):

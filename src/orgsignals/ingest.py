@@ -10,9 +10,10 @@ CSV so later pipeline stages never re-parse mail.
 
 `read_event_csv` reads that CSV into an EventTable: numpy columns of
 epoch-microsecond stamps, actor ids and word ids, with the recipients
-and tokens of each message as CSR rows.  Every analyze stage works on
-those columns; `EventTable.from_events` and `to_events` convert between
-the table and MessageEvent lists.
+and tokens of each message as CSR rows.  It checks each row once, in
+one pass, and the first fault names its row and column.  Every analyze
+stage works on those columns; `EventTable.from_events` and `to_events`
+convert between the table and MessageEvent lists.
 """
 
 from __future__ import annotations
@@ -77,24 +78,18 @@ class MessageEvent:
     subject_key: str = ""
     tokens: list[str] = field(default_factory=list)
 
-    def validate(self, canonical: set[str] | None = None) -> None:
-        """Raise ValueError if any MessageEvent invariant is violated.
-
-        `canonical` optionally holds addresses already found canonical:
-        they skip the form check, and addresses that pass it are added.
-        """
-        if canonical is None:
-            canonical = set()
+    def validate(self) -> None:
+        """Raise ValueError if any MessageEvent invariant is violated."""
         if not self.message_id:
             raise ValueError("empty message_id")
         if self.timestamp.tzinfo is None or self.timestamp.utcoffset().total_seconds() != 0:
             raise ValueError(f"timestamp not UTC: {self.timestamp!r}")
-        if not _is_canonical(self.sender, canonical):
+        if not _is_canonical(self.sender):
             raise ValueError(f"non-canonical sender: {self.sender!r}")
         if not self.recipients:
             raise ValueError("empty recipient list")
         for addr, weight in self.recipients:
-            if not _is_canonical(addr, canonical):
+            if not _is_canonical(addr):
                 raise ValueError(f"non-canonical recipient: {addr!r}")
             if addr == self.sender:
                 raise ValueError("sender duplicated in recipients")
@@ -102,14 +97,9 @@ class MessageEvent:
                 raise ValueError(f"recipient weight out of (0,1]: {weight}")
 
 
-def _is_canonical(addr: str, canonical: set[str]) -> bool:
-    """Whether `addr` is a lowercase addr-spec; a passing address is remembered."""
-    if addr in canonical:
-        return True
-    if not _ADDR_RE.match(addr) or addr != addr.lower():
-        return False
-    canonical.add(addr)
-    return True
+def _is_canonical(addr: str) -> bool:
+    """Whether `addr` is a lowercase addr-spec."""
+    return _ADDR_RE.match(addr) is not None and addr == addr.lower()
 
 
 @dataclass(slots=True)
@@ -155,7 +145,7 @@ def canonicalize_actor(raw: str, aliases: dict[str, str] | None = None) -> str:
         raise AddressError(f"unparseable address: {raw!r}")
     if aliases:
         addr = aliases.get(addr, addr)
-        if not _ADDR_RE.match(addr) or addr != addr.lower():
+        if not _is_canonical(addr):
             raise AddressError(f"alias target is not a canonical address: {addr!r}")
     return addr
 
@@ -424,6 +414,7 @@ def _parse_piece(
 
 
 def _usable_cpus() -> int:
+    """The number of CPUs this process may use."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -713,23 +704,11 @@ def _ranks(first_seen: dict[str, int]) -> tuple[list[str], np.ndarray]:
     return names, np.array([rank[name] for name in first_seen], dtype=np.int32)
 
 
-def _row_event(row: list[str], lineno: int, canonical: set[str]) -> MessageEvent:
-    """Parse and check one CSV row; EventSchemaError names the row and column."""
-    if len(row) != len(EVENT_CSV_COLUMNS):
-        raise EventSchemaError(f"row {lineno}, column count: got {len(row)} fields")
-    msg_id, stamp_raw, sender, recips_raw, reply_raw, subject, tokens_raw = row
-    try:
-        timestamp = datetime.fromisoformat(stamp_raw.replace("Z", "+00:00"))
-    except ValueError:
-        raise EventSchemaError(
-            f"row {lineno}, column timestamp_iso8601_utc: {stamp_raw!r}"
-        ) from None
-    if timestamp.tzinfo is None:
-        raise EventSchemaError(
-            f"row {lineno}, column timestamp_iso8601_utc: missing timezone"
-        )
-    recipients: list[tuple[str, float]] = []
-    for item in recips_raw.split(";"):
+def _recipient_items(raw: str, lineno: int) -> list[tuple[str, float]]:
+    """The (address, weight) items of a recipients cell, empty items skipped;
+    EventSchemaError names the first item that is not `address:weight`."""
+    items = []
+    for item in raw.split(";"):
         if not item:
             continue
         addr, sep, weight_raw = item.rpartition(":")
@@ -739,35 +718,26 @@ def _row_event(row: list[str], lineno: int, canonical: set[str]) -> MessageEvent
             sep = ""
         if not sep:
             raise EventSchemaError(f"row {lineno}, column recipients: {item!r}")
-        recipients.append((addr, weight))
-    event = MessageEvent(
-        message_id=msg_id,
-        timestamp=timestamp.astimezone(timezone.utc),
-        sender=sender,
-        recipients=recipients,
-        in_reply_to=reply_raw or None,
-        subject_key=subject,
-        tokens=tokens_raw.split(),
-    )
-    try:
-        event.validate(canonical)
-    except ValueError as exc:
-        raise EventSchemaError(f"row {lineno}, column *: {exc}") from None
-    return event
+        items.append((addr, weight))
+    return items
 
 
 def read_event_csv(path: str | Path) -> EventTable:
     """Read the canonical event CSV into an EventTable, rows in file order.
 
-    A row in the writer's own form (UTC "+00:00" stamps) whose values
-    pass every check goes straight into the columns; each distinct
-    address and recipient list is checked once.  Any other row is parsed
-    and checked field by field (`_row_event`), so a fault raises the same
-    EventSchemaError, naming the same row and column, whichever way the
-    row came in.
+    Each row is checked once, and the first fault raises EventSchemaError
+    naming its row and column.  The checks run in this order: the column
+    count; the stamp, which may carry any UTC offset (or "Z") but must
+    carry one, and is converted to UTC; the syntax of the recipients;
+    the message id; the sender's form; then each recipient's form, that
+    it is not the sender and that its weight is in (0, 1], in order.
+    An address already in the table skips its form check, and each
+    distinct recipients cell is checked once and kept as its actor ids
+    and weights: a later row with that cell checks only that its sender
+    is not among them.
     """
     table = _TableBuilder()
-    # bound methods and locals: `accept` runs once per row
+    # bound methods and locals: the loop body runs once per row
     actor_ids, actor, word_id = table.actor_ids, table.actor, table.word_ids.__getitem__
     recipient_ids, token_ids = table.recipient_ids, table.token_ids
     add_stamp, add_sender = table.stamps.append, table.senders.append
@@ -776,65 +746,28 @@ def read_event_csv(path: str | Path) -> EventTable:
     add_tokens = token_ids.extend
     add_message_id, add_reply = table.message_id.append, table.in_reply_to.append
     add_subject = table.subject_key.append
-    canonical: set[str] = set()
     recipient_lists: dict[str, tuple[list[int], list[float]]] = {}
     subjects: dict[str, str] = {}
     share = subjects.setdefault
-    fromisoformat = datetime.fromisoformat
+    fromisoformat, utc = datetime.fromisoformat, timezone.utc
     n_columns = len(EVENT_CSV_COLUMNS)
 
-    def recipient_list(raw: str) -> tuple[list[int], list[float]] | None:
-        """Actor ids and weights of a recipients cell; None unless all pass."""
-        ids, weights = [], []
-        for item in raw.split(";"):
-            if not item:
-                continue
-            addr, sep, weight_raw = item.rpartition(":")
-            if not sep or not _is_canonical(addr, canonical):
-                return None
-            try:
-                weight = float(weight_raw)
-            except ValueError:
-                return None
+    def recipient_list(raw: str, items: list[tuple[str, float]], sender: str,
+                       lineno: int) -> tuple[list[int], list[float]]:
+        """Check the items of a cell seen for the first time, and keep the cell."""
+        if not items:
+            raise EventSchemaError(f"row {lineno}, column *: empty recipient list")
+        for addr, weight in items:
+            if addr not in actor_ids and not _is_canonical(addr):
+                raise EventSchemaError(
+                    f"row {lineno}, column *: non-canonical recipient: {addr!r}")
+            if addr == sender:
+                raise EventSchemaError(f"row {lineno}, column *: sender duplicated in recipients")
             if not 0.0 < weight <= 1.0:
-                return None
-            ids.append(actor(addr))
-            weights.append(weight)
-        if not ids:
-            return None
-        recipient_lists[raw] = (ids, weights)
-        return ids, weights
-
-    def accept(row: list[str]) -> bool:
-        """Append `row` if it is sure to pass every check; False when in doubt."""
-        if len(row) != n_columns:
-            return False
-        msg_id, stamp_raw, sender, recips_raw, reply_raw, subject, tokens_raw = row
-        if not msg_id or not stamp_raw.endswith("+00:00"):
-            return False
-        try:
-            us = (fromisoformat(stamp_raw) - _EPOCH) // _MICROSECOND
-        except ValueError:
-            return False
-        sender_id = actor_ids.get(sender)
-        if sender_id is None:
-            if not _is_canonical(sender, canonical):
-                return False
-            sender_id = actor(sender)
-        recipients = recipient_lists.get(recips_raw) or recipient_list(recips_raw)
-        if recipients is None or sender_id in recipients[0]:
-            return False
-        add_stamp(us)
-        add_sender(sender_id)
-        add_recipient_ids(recipients[0])
-        add_weights(recipients[1])
-        end_recipients(len(recipient_ids))
-        add_tokens(map(word_id, tokens_raw.split()))
-        end_tokens(len(token_ids))
-        add_message_id(msg_id)
-        add_reply(reply_raw or None)
-        add_subject(share(subject, subject))
-        return True
+                raise EventSchemaError(
+                    f"row {lineno}, column *: recipient weight out of (0,1]: {weight}")
+        found = recipient_lists[raw] = [actor(a) for a, _ in items], [w for _, w in items]
+        return found
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -844,8 +777,46 @@ def read_event_csv(path: str | Path) -> EventTable:
                 f"row 1, column header: expected {','.join(EVENT_CSV_COLUMNS)}"
             )
         for lineno, row in enumerate(reader, start=2):
-            if not accept(row):
-                table.add(_row_event(row, lineno, canonical))
+            if len(row) != n_columns:
+                raise EventSchemaError(f"row {lineno}, column count: got {len(row)} fields")
+            msg_id, stamp_raw, sender, recips_raw, reply_raw, subject, tokens_raw = row
+            try:
+                stamp = fromisoformat(stamp_raw.replace("Z", "+00:00"))
+                if stamp.tzinfo is not None:
+                    stamp = stamp.astimezone(utc)  # OverflowError past year 1 or 9999
+            except (ValueError, OverflowError):
+                raise EventSchemaError(
+                    f"row {lineno}, column timestamp_iso8601_utc: {stamp_raw!r}"
+                ) from None
+            if stamp.tzinfo is None:
+                raise EventSchemaError(
+                    f"row {lineno}, column timestamp_iso8601_utc: missing timezone"
+                )
+            recipients = recipient_lists.get(recips_raw)
+            if recipients is None:
+                items = _recipient_items(recips_raw, lineno)
+            if not msg_id:
+                raise EventSchemaError(f"row {lineno}, column *: empty message_id")
+            sender_id = actor_ids.get(sender)
+            if sender_id is None:
+                if not _is_canonical(sender):
+                    raise EventSchemaError(
+                        f"row {lineno}, column *: non-canonical sender: {sender!r}")
+                sender_id = actor(sender)
+            if recipients is None:
+                recipients = recipient_list(recips_raw, items, sender, lineno)
+            elif sender_id in recipients[0]:
+                raise EventSchemaError(f"row {lineno}, column *: sender duplicated in recipients")
+            add_stamp((stamp - _EPOCH) // _MICROSECOND)
+            add_sender(sender_id)
+            add_recipient_ids(recipients[0])
+            add_weights(recipients[1])
+            end_recipients(len(recipient_ids))
+            add_tokens(map(word_id, tokens_raw.split()))
+            end_tokens(len(token_ids))
+            add_message_id(msg_id)
+            add_reply(reply_raw or None)
+            add_subject(share(subject, subject))
     return table.finish()
 
 

@@ -5,18 +5,22 @@ by enumerating all simple paths (and, on graphs too large for that, by
 textbook one-source-at-a-time Brandes), oscillations by a literal
 local-extrema count, response runs by an explicit message-list scanner
 (and, over whole event lists, by one merged sort per actor pair), OLS
-by the normal equations, and the columnar event stages by walking the
-event objects one at a time.
+by the normal equations, the columnar event stages by walking the
+event objects one at a time, and the event CSV reader by parsing each
+row into a MessageEvent and validating it.
 """
 
+import csv
 import math
 from bisect import bisect_left
 from collections import Counter, defaultdict, deque
+from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
+from orgsignals.ingest import EVENT_CSV_COLUMNS, EventSchemaError, EventTable, MessageEvent
 from orgsignals.signals import ResponseEvent
 
 
@@ -233,3 +237,60 @@ def loop_honest_sentiment(events, lexicon):
 
 def loop_token_counts(events):
     return Counter(chain.from_iterable(e.tokens for e in events))
+
+
+def loop_read_event_csv(path) -> EventTable:
+    """The event table of an event CSV, one MessageEvent per row: each row
+    is parsed field by field, then checked by `MessageEvent.validate`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != EVENT_CSV_COLUMNS:
+            raise EventSchemaError(
+                f"row 1, column header: expected {','.join(EVENT_CSV_COLUMNS)}"
+            )
+        events = [_row_event(row, lineno) for lineno, row in enumerate(reader, start=2)]
+    return EventTable.from_events(events)
+
+
+def _row_event(row: list[str], lineno: int) -> MessageEvent:
+    if len(row) != len(EVENT_CSV_COLUMNS):
+        raise EventSchemaError(f"row {lineno}, column count: got {len(row)} fields")
+    msg_id, stamp_raw, sender, recips_raw, reply_raw, subject, tokens_raw = row
+    try:
+        timestamp = datetime.fromisoformat(stamp_raw.replace("Z", "+00:00"))
+        if timestamp.tzinfo is not None:
+            timestamp = timestamp.astimezone(timezone.utc)
+    except (ValueError, OverflowError):
+        raise EventSchemaError(
+            f"row {lineno}, column timestamp_iso8601_utc: {stamp_raw!r}"
+        ) from None
+    if timestamp.tzinfo is None:
+        raise EventSchemaError(
+            f"row {lineno}, column timestamp_iso8601_utc: missing timezone"
+        )
+    recipients: list[tuple[str, float]] = []
+    for item in recips_raw.split(";"):
+        if not item:
+            continue
+        addr, sep, weight_raw = item.rpartition(":")
+        try:
+            weight = float(weight_raw)
+        except ValueError:
+            sep = ""
+        if not sep:
+            raise EventSchemaError(f"row {lineno}, column recipients: {item!r}")
+        recipients.append((addr, weight))
+    event = MessageEvent(
+        message_id=msg_id,
+        timestamp=timestamp,
+        sender=sender,
+        recipients=recipients,
+        in_reply_to=reply_raw or None,
+        subject_key=subject,
+        tokens=tokens_raw.split(),
+    )
+    try:
+        event.validate()
+    except ValueError as exc:
+        raise EventSchemaError(f"row {lineno}, column *: {exc}") from None
+    return event

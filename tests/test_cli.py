@@ -16,7 +16,7 @@ from orgsignals.graph import TimeWindowConfig
 from orgsignals.ingest import EXTERNAL_UNIT, read_event_csv, read_unit_csv
 from orgsignals.signals import compute_signal_record, load_lexicon
 
-from test_ingest import BASE_HEADERS, make_mbox
+from test_ingest import BASE_HEADERS, make_mbox, write_second_stamp
 
 
 def run(args):
@@ -232,6 +232,15 @@ def test_analyze_bad_events_schema_exits_one(tmp_path):
     events = tmp_path / "events.csv"
     events.write_text("wrong,header\n")
     assert run(["analyze", "--events", events, "--out-dir", tmp_path / "o"]) == 1
+
+
+def test_analyze_stamp_out_of_range_in_utc_exits_one(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    write_second_stamp(events, "0001-01-01T00:30:00+01:00")
+    assert run(["analyze", "--events", events, "--out-dir", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "row 3, column timestamp_iso8601_utc: '0001-01-01T00:30:00+01:00'" in err
 
 
 def test_analyze_internal_value_error_exits_two(tmp_path, scenario_file, monkeypatch, capsys):
@@ -545,3 +554,13 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True)
     assert result.stdout.strip() == "False"
+
+
+def test_ingest_import_leaves_scipy_and_graph_unloaded():
+    # each ingest pool worker imports only this much of the package
+    env = package_env()
+    probe = ("import sys, orgsignals.ingest; "
+             "print('scipy' in sys.modules, 'orgsignals.graph' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "False False"

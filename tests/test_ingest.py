@@ -348,6 +348,30 @@ def test_event_csv_bad_timestamp_names_row(tmp_path):
         read_event_csv(path)
 
 
+def write_second_stamp(path, stamp):
+    """An event CSV of two rows whose second row has the stamp `stamp`."""
+    write_event_csv([mk_event("a@x.com", ["b@x.com"], hours=1),
+                     mk_event("b@x.com", ["a@x.com"], hours=2)], path)
+    text = path.read_text()
+    path.write_text(text.replace((T0 + timedelta(hours=2)).isoformat(), stamp))
+
+
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
+def test_event_csv_stamp_out_of_range_in_utc_names_row(tmp_path, stamp):
+    path = tmp_path / "events.csv"
+    write_second_stamp(path, stamp)
+    with pytest.raises(EventSchemaError) as raised:
+        read_event_csv(path)
+    assert str(raised.value) == f"row 3, column timestamp_iso8601_utc: {stamp!r}"
+
+
+def test_event_csv_year_one_utc_stamp_is_read(tmp_path):
+    path = tmp_path / "events.csv"
+    write_second_stamp(path, "0001-01-01T00:30:00+00:00")
+    stamps = [event.timestamp for event in read_event_csv(path).to_events()]
+    assert stamps == [T0 + timedelta(hours=1), datetime(1, 1, 1, 0, 30, tzinfo=timezone.utc)]
+
+
 def test_event_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_event_csv([], path)

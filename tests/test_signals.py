@@ -3,10 +3,11 @@
 import math
 from datetime import timedelta
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import jensenshannon
+from scipy.special import rel_entr
 
 from orgsignals.graph import TimeWindowConfig
 from orgsignals.signals import (
@@ -307,13 +308,19 @@ def distribution(draw):
     return {k: w / total for k, w in zip(keys, weights)}
 
 
+# scipy's `jensenshannon` gives NaN here: the square root of a sum that
+# rounding makes slightly negative
+@example({k: 0.2 for k in "abcde"}, {**{k: 0.2 for k in "abcde"}, "c": 0.19999999999999998})
 @given(distribution(), distribution())
 @settings(max_examples=120)
 def test_jsd_matches_scipy_and_properties(p, q):
     value = jensen_shannon_divergence(p, q)
     keys = sorted(p.keys() | q.keys())
-    sp = jensenshannon([p.get(k, 0.0) for k in keys], [q.get(k, 0.0) for k in keys], base=2)
-    assert value == pytest.approx(float(sp) ** 2, abs=1e-9)
+    P = np.array([p.get(k, 0.0) for k in keys])
+    Q = np.array([q.get(k, 0.0) for k in keys])
+    M = (P + Q) / 2
+    reference = (rel_entr(P, M).sum() + rel_entr(Q, M).sum()) / 2 / math.log(2)
+    assert value == pytest.approx(reference, abs=1e-9)
     assert 0.0 <= value <= 1.0
     assert value == pytest.approx(jensen_shannon_divergence(q, p), abs=1e-12)
 

@@ -1,14 +1,24 @@
-"""The columnar event table, and its stages against the event-object walks."""
+"""The columnar event table, its reader against a row-by-row reader, and
+its stages against the event-object walks."""
 
+import csv
+import io
 import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orgsignals.graph import TimeWindowConfig, WindowedGraph, build_windows
-from orgsignals.ingest import EventTable, MessageEvent, read_event_csv, write_event_csv
+from orgsignals.ingest import (
+    EVENT_CSV_COLUMNS,
+    EventSchemaError,
+    EventTable,
+    MessageEvent,
+    read_event_csv,
+    write_event_csv,
+)
 from orgsignals.signals import (
     LexiconConfig,
     _window_ci_vectors,
@@ -23,6 +33,7 @@ from conftest import T0, mk_event
 from oracles import (
     loop_actor_activity,
     loop_honest_sentiment,
+    loop_read_event_csv,
     loop_symmetrized_csr,
     loop_token_counts,
     loop_windows,
@@ -119,7 +130,7 @@ def test_table_round_trips_and_takes_rows(events, data):
     assert table.take(slice(lo, hi)).to_events() == events[lo:hi]
 
 
-def test_rows_off_the_fast_path_read_the_same(tmp_path):
+def test_stamp_and_weight_spellings_read_the_same(tmp_path):
     events = [
         mk_event("a@x.com", ["b@x.com", ("c@x.com", 0.5)], hours=1, tokens=["plan", "plan"]),
         mk_event("b@x.com", ["a@x.com"], hours=2.5, in_reply_to="<r@x>", subject_key="hi"),
@@ -146,3 +157,122 @@ def test_fractional_second_stamps_keep_their_microseconds(tmp_path):
     t0_us = (T0 - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(microseconds=1)
     assert table.stamp_us.tolist() == [t0_us + us for us in offsets]
     assert table.to_events() == events
+
+
+# Cells of an event CSV row: good values, and the mutations the reader
+# must reject, or accept as other spellings of a good value.
+STAMPS = (["2024-01-01T00:00:00+00:00", "2024-01-01T05:00:00+00:00"],
+          ["2024-01-01T05:00:00Z", "2024-01-01T06:00:00+01:00", "2023-12-31T23:30:00-05:30",
+           "2024-01-01T00:00:00.250000+00:00", "2024-01-01T00:00:00.5Z",
+           "2024-01-01T00:00:00", "not-a-date", "", "0001-01-01T00:30:00+00:00",
+           "0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
+SENDERS = (["amy@x.com", "bob@x.com", "cy@x.com"], ["Amy@x.com", "amy", "a@b@x.com", ""])
+RECIPIENTS = (["dee@x.com", "ed@x.com", "cy@x.com", "amy@x.com"], SENDERS[1])
+WEIGHTS = (["1.0", "0.5"], ["0.50", "1", "nan", "1.5", "0", "-1", "nope", ""])
+
+
+def pick(draw, pools, odds=8):
+    """A value of the first pool, or one time in `odds` of the second."""
+    good, mutations = pools
+    return draw(st.sampled_from(mutations if draw(st.integers(1, odds)) == odds else good))
+
+
+@st.composite
+def recipient_cells(draw):
+    """A recipients cell of one or two items, some of them mutated."""
+    items = []
+    for _ in range(draw(st.integers(1, 2))):
+        addr, weight = pick(draw, RECIPIENTS), pick(draw, WEIGHTS)
+        items.append(pick(draw, ([f"{addr}:{weight}"], [addr])))
+    return ";".join(pick(draw, ([items], [[]]))) + pick(draw, ([""], [";"]))
+
+
+@st.composite
+def event_csv_texts(draw):
+    """An event CSV of a few rows, whose cells are drawn from small pools so
+    that addresses and recipient cells repeat across rows."""
+    cells = draw(st.lists(recipient_cells(), min_size=1, max_size=3))
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        row = [
+            pick(draw, ([f"<m{i}@x>"], [""])),
+            pick(draw, STAMPS, odds=3),
+            pick(draw, SENDERS),
+            draw(st.sampled_from(cells)),
+            draw(st.sampled_from(["", "<m0@x>"])),
+            draw(st.sampled_from(["", "hi", "hi there"])),
+            draw(st.sampled_from(["", "plan notes", "plan  plan"])),
+        ]
+        rows.append(pick(draw, ([row], [row[:6], row + ["extra"]]), odds=20))
+    return csv_text(rows)
+
+
+def csv_text(rows):
+    """An event CSV of the header and `rows`."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(EVENT_CSV_COLUMNS)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def read_outcome(reader, path):
+    """The table `reader` reads from `path`, or the type and text of what it raises."""
+    try:
+        return reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# a cell first seen valid, then under a sender that it contains
+@example(csv_text([
+    ["<m0@x>", "2024-01-01T00:00:00+00:00", "amy@x.com", "bob@x.com:1.0;cy@x.com:0.5", "", "", ""],
+    ["<m1@x>", "2024-01-01T05:00:00Z", "bob@x.com", "bob@x.com:1.0;cy@x.com:0.5", "", "", ""],
+]))
+@given(event_csv_texts())
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_row_by_row_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "events.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    got, want = read_outcome(read_event_csv, path), read_outcome(loop_read_event_csv, path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, EventTable)
+    for column in ("stamp_us", "sender", "recipient_indptr", "recipient_ids",
+                   "recipient_weights", "token_indptr", "token_ids"):
+        assert np.array_equal(getattr(got, column), getattr(want, column)), column
+    for column in ("actors", "words", "message_id", "in_reply_to", "subject_key"):
+        assert getattr(got, column) == getattr(want, column), column
+
+
+def test_reader_names_the_first_fault_in_check_order(tmp_path):
+    # one row with a fault of each kind, mended one at a time in the order
+    # of the checks: each read names the next fault
+    row = ["", "0001-01-01T00:30:00+01:00", "Amy@x.com",
+           "Dee@x.com:1.0;amy@x.com:1.5;cy@x.com:nope", "", "", "plan", "extra"]
+    mends = [  # (column, its mended value, or None to drop it; the fault it mends)
+        (7, None, "column count: got 8 fields"),
+        (1, "2024-01-01T00:30:00", "column timestamp_iso8601_utc: '0001-01-01T00:30:00+01:00'"),
+        (1, "2024-01-01T00:30:00Z", "column timestamp_iso8601_utc: missing timezone"),
+        (3, "Dee@x.com:1.0;amy@x.com:1.5;cy@x.com:0.5", "column recipients: 'cy@x.com:nope'"),
+        (0, "<m@x>", "column *: empty message_id"),
+        (2, "amy@x.com", "column *: non-canonical sender: 'Amy@x.com'"),
+        (3, "dee@x.com:1.0;amy@x.com:1.5;cy@x.com:0.5",
+         "column *: non-canonical recipient: 'Dee@x.com'"),
+        (2, "bob@x.com", "column *: sender duplicated in recipients"),
+        (3, "dee@x.com:1.0;amy@x.com:1.0;cy@x.com:0.5",
+         "column *: recipient weight out of (0,1]: 1.5"),
+    ]
+    path = tmp_path / "events.csv"
+    for column, mended, fault in mends:
+        path.write_text(csv_text([row]), encoding="utf-8", newline="")
+        want = (EventSchemaError, f"row 2, {fault}")
+        assert read_outcome(read_event_csv, path) == read_outcome(loop_read_event_csv, path) == want
+        if mended is None:
+            del row[column]
+        else:
+            row[column] = mended
+    path.write_text(csv_text([row]), encoding="utf-8", newline="")
+    assert read_event_csv(path).to_events() == loop_read_event_csv(path).to_events()
+    assert len(read_event_csv(path)) == 1
