@@ -13,12 +13,10 @@ three, on three graphs:
 
 The kernel does two sparse products per BFS level for a whole block of
 sources, so its cost grows with the depth of the graph: the deep cases
-show how much.  Blocks run on as many threads as this process has CPUs
-(`cpus` in the header).
+show how much.  Blocks run one after another on one thread.
 """
 
 import argparse
-import os
 import random
 import time
 
@@ -77,8 +75,7 @@ def main():
         "deg2": lambda n: random_neighbours(n, 2.0, seed=n),
         "path": path_neighbours,
     }
-    print(f"cpus {len(os.sched_getaffinity(0))}, "
-          f"source block {_betweenness_py.SOURCE_BLOCK}")
+    print(f"source block {_betweenness_py.SOURCE_BLOCK}")
     print(f"{'n':>6}" + "".join(f" {name:>9} {'edges':>6}" for name in cases))
     for n in sizes:
         line = f"{n:>6}"

@@ -20,18 +20,14 @@ or `where=`, which cost several times as much per element.  The level
 of each node is read back from `dist`, so memory is O(SOURCE_BLOCK * n)
 per block whatever the depth of the graph.
 
-Graphs larger than one block run their blocks on a thread pool of one
-thread per block, at most one per CPU this process may use; the sparse
-products and the ufuncs release the GIL.  The blocks are summed in block
-order, so the scores do not depend on the number of threads.
+Graphs larger than one block run their blocks one after another on the
+calling thread, summed in block order.  scipy's sparse-by-dense product
+holds the GIL, so a thread pool could overlap only the dense passes, and
+each of its threads kept a malloc arena of its own.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
-
-from .ingest import _usable_cpus
 
 # Sources per block.  Bounds the working set to a few (n, SOURCE_BLOCK)
 # matrices.  On 500-node windows, blocks of 64 to 512 sources ran equally
@@ -50,16 +46,9 @@ def brandes_accumulate(indptr, indices, n: int) -> np.ndarray:
     adjacency = sparse.csr_array(
         (np.ones(len(indices), dtype=np.float64), indices, indptr), shape=(n, n)
     )
-    if n <= SOURCE_BLOCK:
-        return _block_dependencies(adjacency, 0, n)
-
-    firsts = range(0, n, SOURCE_BLOCK)
-    scores = np.zeros(n, dtype=np.float64)
-    workers = min(len(firsts), _usable_cpus())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        blocks = pool.map(lambda first: _block_dependencies(adjacency, first, n), firsts)
-        for block in blocks:
-            scores += block
+    scores = _block_dependencies(adjacency, 0, n)
+    for first in range(SOURCE_BLOCK, n, SOURCE_BLOCK):
+        scores += _block_dependencies(adjacency, first, n)
     return scores
 
 

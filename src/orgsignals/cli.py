@@ -144,11 +144,10 @@ def cmd_ingest(args) -> int:
     for path in args.mbox:
         if not Path(path).is_file():
             raise CliError(f"mbox file not found: {path}")
-    report = ing.IngestReport()
-    events = ing.parse_mbox(args.mbox, config, report)
-
     events_path = _out_path(args.out_dir, "events.csv", args.force)
     report_path = _out_path(args.out_dir, "ingest_report.json", args.force)
+    report = ing.IngestReport()
+    events = ing.parse_mbox(args.mbox, config, report)
     ing.write_event_csv(events, events_path)
     payload = report.as_dict()
     payload["written"] = len(events)
@@ -188,6 +187,7 @@ def cmd_analyze(args) -> int:
         corpus_start = _parse_utc(args.corpus_start) if args.corpus_start else None
         corpus_end = _parse_utc(args.corpus_end) if args.corpus_end else None
         _check_range(corpus_start, corpus_end, "corpus")
+        signals_path = _out_path(args.out_dir, "signals.csv", args.force)
         events = ing.read_event_csv(args.events)
         mapping = ing.read_unit_csv(args.units) if args.units else None
         if args.positive or args.negative:
@@ -202,7 +202,6 @@ def cmd_analyze(args) -> int:
             lexicon = sig.LexiconConfig()
     events = events.time_sorted()
 
-    signals_path = _out_path(args.out_dir, "signals.csv", args.force)
     if not len(events):
         sig.write_signals_csv([], signals_path)
         log.info("analyze: no events; wrote header-only signals.csv")

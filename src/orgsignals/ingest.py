@@ -3,10 +3,12 @@
 Raw input is RFC 4155 mbox with RFC 5322 headers.  Each parsable message
 becomes one MessageEvent: canonical lowercase sender, weighted recipients
 (To=1.0, Cc=0.5 by default), UTC timestamp, reply link, and a tokenized
-plain-text body with quoted reply material stripped.  `parse_mbox` cuts
-the archives into byte ranges and converts them on a pool of worker
-processes, one per usable CPU.  Events round-trip through a canonical
-CSV so later pipeline stages never re-parse mail.
+plain-text body with quoted reply material stripped.  Each message is
+parsed headers-only, and the text parts of a multipart body are found by
+splitting it on its boundary lines.  `parse_mbox` cuts the archives into
+byte ranges and converts them on a pool of worker processes, one per
+usable CPU.  Events round-trip through a canonical CSV so later
+pipeline stages never re-parse mail.
 
 `read_event_csv` reads that CSV into an EventTable: numpy columns of
 epoch-microsecond stamps, actor ids and word ids, with the recipients
@@ -31,7 +33,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from email.header import decode_header, make_header
+from email.parser import BytesParser, Parser
 from email.utils import getaddresses, parseaddr, parsedate_to_datetime
+from io import StringIO
 from itertools import count
 from pathlib import Path
 
@@ -56,6 +60,9 @@ _HTML_BREAK_RE = re.compile(r"(?i)<\s*br\s*/?\s*>|</\s*p\s*>")
 # start of a quoted reply block: "On <...> wrote:" possibly wrapped, or an
 # Outlook-style "-----Original Message-----" divider
 _REPLY_INTRO_RE = re.compile(r"^On .*wrote:\s*$|^-{2,}\s*Original Message\s*-{2,}\s*$")
+# compat32 parsers: a message's headers, then each part of a multipart body
+_HEADERS_PARSER = BytesParser()
+_PART_PARSER = Parser()
 
 
 class EventSchemaError(ValueError):
@@ -201,14 +208,14 @@ def _decode_mime_header(value) -> str:
         return str(value)
 
 
-def _extract_body(msg) -> str:
-    """Best-effort plain text body; text/plain preferred over text/html.
+def _extract_body(parts) -> str:
+    """Best-effort plain text body of a message, given its parts in walk
+    order; text/plain preferred over text/html.
 
     Only the first text/plain and the first text/html part without a
     file name are decoded.
     """
     plain, markup = None, None
-    parts = msg.walk() if msg.is_multipart() else [msg]
     for part in parts:
         maintype, _, subtype = part.get_content_type().partition("/")
         if maintype != "text":
@@ -237,6 +244,93 @@ def _extract_body(msg) -> str:
     if markup is not None:
         return _html_to_text(markup)
     return ""
+
+
+def _body_parts(msg, raw: bytes):
+    """The leaves of a message's MIME tree in the order `Message.walk`
+    gives them, from its headers-only parse `msg` and its bytes `raw`.
+
+    A multipart body is split on its boundary lines (`_part_texts`) and
+    each part parsed headers-only, recursively: the full parse would
+    compile one boundary regex per multipart message.  A message with a
+    message/* part anywhere (rfc822, delivery-status, or a digest part
+    without a Content-Type) is parsed in full from `raw` instead.
+    """
+    parts: list = []
+    if _add_leaves(msg, parts):
+        return parts
+    return email.message_from_bytes(raw).walk()
+
+
+def _add_leaves(msg, parts: list, nested: bool = False) -> bool:
+    """Append the leaves under `msg` to `parts`; False at a message/* part.
+
+    The tree is feedparser's: a multipart without a boundary parameter,
+    or without a start boundary line, is a leaf, and so is every part
+    that is not multipart.  A `nested` leaf loses one trailing line end
+    from its payload, which RFC 2046 gives to the boundary that follows.
+    """
+    maintype, _, subtype = msg.get_content_type().partition("/")
+    if maintype == "message":
+        return False
+    boundary = msg.get_boundary() if maintype == "multipart" else None
+    texts = None if boundary is None else _part_texts(msg._payload, "--" + boundary)
+    if texts is None:
+        if nested and maintype != "multipart":
+            payload = msg._payload
+            if payload.endswith("\r\n"):
+                msg.set_payload(payload[:-2])
+            elif payload.endswith(("\r", "\n")):
+                msg.set_payload(payload[:-1])
+        parts.append(msg)
+        return True
+    for text in texts:
+        part = _PART_PARSER.parsestr(text, headersonly=True)
+        if subtype == "digest":
+            part.set_default_type("message/rfc822")
+        if not _add_leaves(part, parts, nested=True):
+            return False
+    return True
+
+
+def _part_texts(body: str, separator: str) -> list[str] | None:
+    """The texts of the parts of a multipart body, or None if it has no
+    start boundary line.
+
+    Lines end at "\r\n", "\r" or "\n", as feedparser splits them.  A
+    boundary line is `separator`, then "--" on a close boundary, then
+    spaces or tabs (RFC 2046, section 5.1.1).  Boundary lines that
+    follow a boundary line are skipped, so each part starts at the first
+    other line after one and runs up to the next boundary line, a close
+    boundary or the end of the body.
+    """
+    texts = []
+    start = None  # where the current part starts; None in the preamble
+    in_part = False  # a line that is not a boundary came after `start`
+    offset, size = 0, len(separator)
+    for line in StringIO(body, newline="").readlines():
+        if line.startswith(separator):
+            rest = line[size:]
+            close = rest.startswith("--")
+            if close:
+                rest = rest[2:]
+            if not rest.rstrip("\r\n").strip(" \t"):
+                if start is None:
+                    if close:
+                        return None  # a close boundary before any start boundary
+                elif in_part:
+                    texts.append(body[start:offset])
+                    if close:
+                        return texts
+                offset += len(line)
+                start, in_part = offset, False
+                continue
+        in_part = True
+        offset += len(line)
+    if start is None:
+        return None
+    texts.append(body[start:offset])
+    return texts
 
 
 def _parse_date(value: str) -> datetime | None:
@@ -285,8 +379,11 @@ class _Memo:
         return self.by_raw[raw]
 
 
-def _message_to_event(msg, config: IngestConfig, memo: _Memo) -> MessageEvent | None:
-    """Convert one mail message; None means skip (caller counts it).
+def _message_to_event(
+    msg, raw: bytes, config: IngestConfig, memo: _Memo
+) -> MessageEvent | None:
+    """Convert one mail message, parsed headers-only into `msg` from its
+    bytes `raw`; None means skip (caller counts it).
 
     Address headers are split as they stand: the addr-spec never needs
     RFC 2047 decoding, and decoding first would let an encoded display
@@ -327,7 +424,7 @@ def _message_to_event(msg, config: IngestConfig, memo: _Memo) -> MessageEvent | 
         message_id = f"<generated-{digest}@orgsignals>"
 
     in_reply_to = (msg.get("In-Reply-To") or "").strip() or None
-    body = strip_quoted_reply(_extract_body(msg))
+    body = strip_quoted_reply(_extract_body(_body_parts(msg, raw)))
     return MessageEvent(
         message_id=message_id,
         timestamp=timestamp,
@@ -374,9 +471,9 @@ def _message_bytes(lines: list[bytes]) -> bytes:
 
 
 # A corpus gets at most one pool worker per this many bytes, and pieces
-# of about this size or more.  A worker parses 1 MiB of mail in about
-# 0.45 s, about what the pool takes to start: 0.4 to 0.5 s, mostly each
-# worker's import of this package (2-core Xeon, Python 3.11).
+# of about this size or more.  A worker parses 1 MiB of mail in 0.4 to
+# 0.5 s, not much more than the pool takes to start, about 0.3 s, mostly
+# each worker's import of `ingest` and numpy (2-core Xeon, Python 3.11).
 _MIN_PIECE_BYTES = 1 << 20
 _PIECES_PER_WORKER = 4
 
@@ -401,9 +498,9 @@ def _parse_piece(
     config, memo = state or _worker_state
     skipped, events = 0, []
     for raw in _mbox_messages(*piece):
-        msg = email.message_from_bytes(raw)
+        msg = _HEADERS_PARSER.parsebytes(raw, headersonly=True)
         try:
-            event = _message_to_event(msg, config, memo)
+            event = _message_to_event(msg, raw, config, memo)
         except Exception:
             event = None
         if event is None:

@@ -6,11 +6,13 @@ textbook one-source-at-a-time Brandes), oscillations by a literal
 local-extrema count, response runs by an explicit message-list scanner
 (and, over whole event lists, by one merged sort per actor pair), OLS
 by the normal equations, the columnar event stages by walking the
-event objects one at a time, and the event CSV reader by parsing each
-row into a MessageEvent and validating it.
+event objects one at a time, the event CSV reader by parsing each
+row into a MessageEvent and validating it, and a mail's body by the
+standard library's full MIME parse.
 """
 
 import csv
+import email
 import math
 from bisect import bisect_left
 from collections import Counter, defaultdict, deque
@@ -20,7 +22,13 @@ from itertools import chain
 
 import numpy as np
 
-from orgsignals.ingest import EVENT_CSV_COLUMNS, EventSchemaError, EventTable, MessageEvent
+from orgsignals.ingest import (
+    EVENT_CSV_COLUMNS,
+    EventSchemaError,
+    EventTable,
+    MessageEvent,
+    _html_to_text,
+)
 from orgsignals.signals import ResponseEvent
 
 
@@ -294,3 +302,37 @@ def _row_event(row: list[str], lineno: int) -> MessageEvent:
     except ValueError as exc:
         raise EventSchemaError(f"row {lineno}, column *: {exc}") from None
     return event
+
+
+def full_parse_body(raw: bytes) -> str:
+    """The body text of a mail: `email.message_from_bytes` parses it
+    whole, and `Message.walk` gives its parts.  The first text/plain part
+    without a file name wins, else the first such text/html part."""
+    msg = email.message_from_bytes(raw)
+    plain, markup = None, None
+    for part in msg.walk():
+        maintype, _, subtype = part.get_content_type().partition("/")
+        if maintype != "text":
+            continue
+        if subtype == "plain":
+            if plain is not None:
+                continue
+        elif subtype != "html" or markup is not None:
+            continue
+        if part.get_filename():
+            continue
+        payload = part.get_payload(decode=True)
+        if payload is None:
+            continue
+        charset = part.get_content_charset() or "utf-8"
+        try:
+            text = payload.decode(charset, errors="replace")
+        except LookupError:
+            text = payload.decode("utf-8", errors="replace")
+        if subtype == "plain":
+            plain = text
+        else:
+            markup = text
+    if plain is not None:
+        return plain
+    return _html_to_text(markup) if markup is not None else ""

@@ -85,6 +85,26 @@ def test_ingest_refuses_overwrite_without_force(tmp_path):
     assert run(["ingest", mbox, "--out-dir", out, "--force"]) == 0
 
 
+def fail_if_called(name):
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return called
+
+
+@pytest.mark.parametrize("existing", ["events.csv", "ingest_report.json"])
+def test_ingest_refuses_overwrite_before_parsing(tmp_path, monkeypatch, capsys, existing):
+    mbox = tmp_path / "in.mbox"
+    make_mbox(mbox, [(BASE_HEADERS, "x y")])
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / existing).write_text("kept\n")
+    monkeypatch.setattr(orgsignals.ingest, "parse_mbox", fail_if_called("parse_mbox"))
+    assert run(["ingest", mbox, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: refusing to overwrite {out / existing} (use --force)\n")
+    assert (out / existing).read_text() == "kept\n"
+
+
 def test_ingest_idempotent_with_no_timestamps(tmp_path):
     mbox = tmp_path / "in.mbox"
     make_mbox(mbox, [(BASE_HEADERS, "x y")])
@@ -241,6 +261,19 @@ def test_analyze_stamp_out_of_range_in_utc_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "row 3, column timestamp_iso8601_utc: '0001-01-01T00:30:00+01:00'" in err
+
+
+def test_analyze_refuses_overwrite_before_reading_events(tmp_path, monkeypatch, capsys):
+    events = tmp_path / "events.csv"
+    write_second_stamp(events, "2024-01-02T00:00:00+00:00")
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "signals.csv").write_text("kept\n")
+    monkeypatch.setattr(orgsignals.ingest, "read_event_csv", fail_if_called("read_event_csv"))
+    assert run(["analyze", "--events", events, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: refusing to overwrite {out / 'signals.csv'} (use --force)\n")
+    assert (out / "signals.csv").read_text() == "kept\n"
 
 
 def test_analyze_internal_value_error_exits_two(tmp_path, scenario_file, monkeypatch, capsys):
@@ -564,3 +597,24 @@ def test_ingest_import_leaves_scipy_and_graph_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True)
     assert result.stdout.strip() == "False False"
+
+
+def test_traced_targets_resolve_after_cli_import():
+    # perfbench/tracer.py wraps these functions by name: a rename must fail here
+    env = package_env()
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    probe = (
+        "import sys, orgsignals.cli\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "from tracer import TARGETS\n"
+        "for target, attribute, *_ in TARGETS:\n"
+        "    module_name, _, inner = target.partition(':')\n"
+        "    holder = sys.modules.get(module_name)\n"
+        "    if holder is not None and inner:\n"
+        "        holder = getattr(holder, inner, None)\n"
+        "    if not callable(getattr(holder, attribute, None)):\n"
+        "        print(target, attribute)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout == ""  # one line per target that does not resolve

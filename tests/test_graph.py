@@ -1,15 +1,11 @@
 """Window construction, centralities, and Freeman centralization."""
 
-import os
 import random
-import sys
 from datetime import timedelta
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from orgsignals import _betweenness_py, graph
 from orgsignals.graph import (
@@ -306,36 +302,6 @@ def test_kernel_matches_loop_brandes_across_several_blocks():
     scores = kernel_scores(_betweenness_py.brandes_accumulate, n, edges)
     assert scores == pytest.approx(loop_brandes(n, edges), rel=1e-12, abs=1e-12)
     assert all(scores[v] == 0.0 for v in isolated)
-
-
-@pytest.mark.parametrize("cpus", [1, 4])
-def test_kernel_threads_sum_blocks_in_order(monkeypatch, cpus):
-    # the pool must give the bits of the serial, in-order sum of the blocks
-    n, edges, _ = several_blocks_graph()
-    g, _ = make_graph(n, edges)
-    indptr, indices = g.adjacency()
-    adjacency = sparse.csr_array((np.ones(len(indices)), indices, indptr), shape=(n, n))
-    serial = np.zeros(n)
-    for first in range(0, n, _betweenness_py.SOURCE_BLOCK):
-        serial += _betweenness_py._block_dependencies(adjacency, first, n)
-
-    pools = []
-
-    class RecordingPool(_betweenness_py.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(_betweenness_py, "ThreadPoolExecutor", RecordingPool)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-    try:
-        scores = _betweenness_py.brandes_accumulate(indptr, indices, n)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(scores, serial)
-    assert pools == [min(4, cpus)]  # one thread per block, at most one per CPU
 
 
 def test_betweenness_values_in_unit_interval_fuzz():

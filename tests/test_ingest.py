@@ -9,7 +9,7 @@ from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orgsignals.ingest import (
@@ -31,6 +31,7 @@ from orgsignals.ingest import (
 
 import orgsignals.ingest as ingest
 from conftest import T0, mk_event
+from oracles import full_parse_body
 from test_integration import unit_events
 
 
@@ -432,6 +433,124 @@ def test_fuzzed_mbox_events_satisfy_invariants(tmp_path_factory, messages):
         event.validate()
     assert report.parsed == len(events)
     assert report.parsed + report.skipped + report.deduped + report.broadcast_dropped == len(messages)
+
+
+# ---------------------------------------------------------------------------
+# body text: the headers-only walk against the full MIME parse
+# ---------------------------------------------------------------------------
+
+BOUNDARIES = ["B", "a.b+c", "=_x", "x-", "b b"]
+BODY_LINES = ["hello world", "", "> quoted", "caf\u00e9 au lait", "caf=C3=A9", "From here",
+              "aGVsbG8gd29ybGQ=", "x\x1c--B", "<p>markup</p>", "Subject: inner"]
+LEAF_TYPES = [None, "text/plain", "text/plain", "text/html", "text/plain; charset=latin-1",
+              "text/plain; charset=idna", "application/octet-stream", "multipart/mixed"]
+
+
+@st.composite
+def mime_entity(draw, depth=0):
+    """The lines of one MIME entity, without line ends: a multipart with
+    odd boundary lines, a message/* part or a leaf."""
+    if depth == 0:
+        kind = draw(st.sampled_from(["multipart", "multipart", "multipart", "leaf"]))
+    else:
+        kind = draw(st.sampled_from(["multipart", "message", "leaf", "leaf", "leaf"]
+                                    if depth < 3 else ["leaf"]))
+    if kind == "message":
+        if draw(st.booleans()):
+            return ["Content-Type: message/delivery-status", "",
+                    "Reporting-MTA: dns; x.com", "", "Action: failed"]
+        return ["Content-Type: message/rfc822", "", "Subject: inner", *draw(mime_entity(depth + 1))]
+    if kind == "leaf":
+        lines = []
+        content_type = draw(st.sampled_from(LEAF_TYPES))
+        if content_type:
+            lines.append(f"Content-Type: {content_type}")
+        if draw(st.integers(0, 4)) == 0:
+            lines.append('Content-Disposition: attachment; filename="a.txt"')
+        encoding = draw(st.sampled_from([None, None, "base64", "quoted-printable"]))
+        if encoding:
+            lines.append(f"Content-Transfer-Encoding: {encoding}")
+        if draw(st.integers(0, 5)):
+            lines.append("")
+        return lines + draw(st.lists(st.sampled_from(BODY_LINES), min_size=1, max_size=3))
+    boundary = draw(st.sampled_from(BOUNDARIES))
+    separator = "--" + boundary
+    open_line = st.sampled_from(["", "", " ", "\t", " \t"]).map(lambda ws: separator + ws)
+    close_line = st.sampled_from(["", " "]).map(lambda ws: separator + "--" + ws)
+    near_miss = st.sampled_from([separator + "x", " " + separator, separator + "--x", ""])
+    subtype = draw(st.sampled_from(["mixed", "alternative", "digest"]))
+    lines = [f"Content-Type: multipart/{subtype}"
+             + ("" if draw(st.integers(0, 9)) == 0 else f'; boundary="{boundary}"'), ""]
+    if draw(st.integers(0, 7)) == 0:
+        lines.append(draw(close_line))  # before any start boundary
+    lines += draw(st.lists(near_miss, max_size=2))  # preamble
+    for _ in range(draw(st.integers(0, 3))):
+        lines.append(draw(open_line))
+        lines += draw(st.lists(st.one_of(open_line, close_line), max_size=2))
+        lines += draw(mime_entity(depth + 1))
+    ending = draw(st.integers(0, 4))
+    if ending == 1:
+        lines.append(draw(open_line))  # a boundary on the last line
+    elif ending:
+        lines.append(draw(close_line))
+        lines += draw(st.lists(st.one_of(near_miss, open_line), max_size=2))  # epilogue
+    return lines
+
+
+@st.composite
+def mime_message(draw):
+    """The bytes of a mail whose lines end in "\n", "\r\n" or "\r", one
+    kind or mixed, and whose last line may have no line end."""
+    lines = ["From: a@x.com", "To: b@x.com", "MIME-Version: 1.0", *draw(mime_entity())]
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]]))
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode(draw(st.sampled_from(["utf-8", "latin-1"])))
+
+
+def walked_body(raw):
+    msg = ingest._HEADERS_PARSER.parsebytes(raw, headersonly=True)
+    return ingest._extract_body(ingest._body_parts(msg, raw))
+
+
+def body_or_fault(extract, raw):
+    try:
+        return extract(raw)
+    except Exception as exc:  # the message would be skipped
+        return type(exc), str(exc)
+
+
+def mime(content_type, *lines, end="\n"):
+    """A mail with one Content-Type and these body lines, each ended by `end`."""
+    return end.join(["From: a@x.com", f"Content-Type: {content_type}", "", *lines, ""]).encode()
+
+
+@given(mime_message())
+@example(mime('multipart/mixed; boundary="B"',  # CR lines; "\x1c" ends no line
+              "--B", "", "x\x1c--B", "Content-Type: text/html", "", "<p>html</p>", "--B--",
+              end="\r"))
+@example(mime('multipart/mixed; boundary="B"', "--B \t", "", "words", "--B-- \t"))
+@example(mime('multipart/mixed; boundary="B"',  # a doubled boundary, close included
+              "--B", "--B", "--B--", "", "words", "--B--"))
+@example(mime('multipart/mixed; boundary="B"',  # close before start
+              "--B--", "--B", "", "words", "--B--"))
+@example(mime('multipart/mixed; boundary="B"', "--B", "", "words"))  # missing close
+@example(mime('multipart/mixed; boundary="B"',  # a boundary on the last line
+              "--B", "Content-Type: text/html", "", "<p>html</p>", "--B"))
+@example(mime('multipart/mixed; boundary="B"', "--B", "headless words", "--B--"))
+@example(mime('multipart/digest; boundary="B"',
+              "--B", "", "Subject: inner", "", "digest words", "--B--"))
+@example(mime("multipart/mixed", "--B", "", "words", "--B--"))  # no boundary parameter
+@example(mime('multipart/mixed; boundary="B"',  # an rfc822 attachment
+              "--B", "Content-Type: message/rfc822", "", "Subject: inner", "", "inner words",
+              "--B", "", "outer words", "--B--"))
+@example(mime('multipart/mixed; boundary="B"',
+              "--B", 'Content-Disposition: attachment; filename="a.txt"', "", "attached",
+              "--B", "", "words", "--B--"))
+@settings(max_examples=300, deadline=None)
+def test_walked_body_matches_full_parse(raw):
+    assert body_or_fault(walked_body, raw) == body_or_fault(full_parse_body, raw)
 
 
 # ---------------------------------------------------------------------------
