@@ -249,6 +249,10 @@ def cmd_analyze(args) -> int:
             elif first < last:
                 streams[unit] = events.take(rows[first:last])
 
+    if args.debug_windows:  # refuse an existing output before any record is computed
+        for unit in streams:
+            _out_path(args.out_dir, f"windows_{_safe_name(unit)}.csv", args.force)
+
     if args.period == "monthly":
         periods = _month_periods(corpus_start, corpus_end)
     else:

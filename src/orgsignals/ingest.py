@@ -3,11 +3,13 @@
 Raw input is RFC 4155 mbox with RFC 5322 headers.  Each parsable message
 becomes one MessageEvent: canonical lowercase sender, weighted recipients
 (To=1.0, Cc=0.5 by default), UTC timestamp, reply link, and a tokenized
-plain-text body with quoted reply material stripped.  Each message is
-parsed headers-only, and the text parts of a multipart body are found by
-splitting it on its boundary lines.  `parse_mbox` cuts the archives into
-byte ranges and converts them on a pool of worker processes, one per
-usable CPU.  Events round-trip through a canonical CSV so later
+plain-text body with quoted reply material stripped.  Each message's
+header block is split off in one pass over its header lines, by the
+rules of the standard library's compat32 parser, and the text parts of
+a multipart body are found by splitting it on its boundary lines, each
+part's header block split off in turn.  `parse_mbox` cuts the archives
+into byte ranges and converts them on a pool of worker processes, one
+per usable CPU.  Events round-trip through a canonical CSV so later
 pipeline stages never re-parse mail.
 
 `read_event_csv` reads that CSV into an EventTable: numpy columns of
@@ -33,7 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from email.header import decode_header, make_header
-from email.parser import BytesParser, Parser
+from email.message import Message
 from email.utils import getaddresses, parseaddr, parsedate_to_datetime
 from io import StringIO
 from itertools import count
@@ -60,9 +62,10 @@ _HTML_BREAK_RE = re.compile(r"(?i)<\s*br\s*/?\s*>|</\s*p\s*>")
 # start of a quoted reply block: "On <...> wrote:" possibly wrapped, or an
 # Outlook-style "-----Original Message-----" divider
 _REPLY_INTRO_RE = re.compile(r"^On .*wrote:\s*$|^-{2,}\s*Original Message\s*-{2,}\s*$")
-# compat32 parsers: a message's headers, then each part of a multipart body
-_HEADERS_PARSER = BytesParser()
-_PART_PARSER = Parser()
+# a line that compat32's FeedParser takes into a header block (its
+# `headerRE`: an mbox "From " line, a field name and ":", or a
+# continuation), with the rest of the line and its line end
+_HEADER_LINE_RE = re.compile(r"(?:From |[\041-\071\073-\176]*:|[\t ])[^\r\n]*(?:\r\n|\r|\n)?")
 
 
 class EventSchemaError(ValueError):
@@ -210,14 +213,17 @@ def _decode_mime_header(value) -> str:
 
 def _extract_body(parts) -> str:
     """Best-effort plain text body of a message, given its parts in walk
-    order; text/plain preferred over text/html.
+    order, each with its `_Memo.part_facts`; text/plain preferred over
+    text/html.
 
     Only the first text/plain and the first text/html part without a
-    file name are decoded.
+    file name are decoded.  A charset that names no text codec, or one
+    that cannot decode the payload with errors="replace" (idna,
+    punycode), falls back to UTF-8.
     """
     plain, markup = None, None
-    for part in parts:
-        maintype, _, subtype = part.get_content_type().partition("/")
+    for part, (content_type, filename, charset) in parts:
+        maintype, _, subtype = content_type.partition("/")
         if maintype != "text":
             continue
         if subtype == "plain":
@@ -225,15 +231,14 @@ def _extract_body(parts) -> str:
                 continue
         elif subtype != "html" or markup is not None:
             continue
-        if part.get_filename():
+        if filename:
             continue
         payload = part.get_payload(decode=True)
         if payload is None:
             continue
-        charset = part.get_content_charset() or "utf-8"
         try:
-            text = payload.decode(charset, errors="replace")
-        except LookupError:
+            text = payload.decode(charset or "utf-8", errors="replace")
+        except (LookupError, UnicodeError):
             text = payload.decode("utf-8", errors="replace")
         if subtype == "plain":
             plain = text
@@ -246,31 +251,90 @@ def _extract_body(parts) -> str:
     return ""
 
 
-def _body_parts(msg, raw: bytes):
-    """The leaves of a message's MIME tree in the order `Message.walk`
-    gives them, from its headers-only parse `msg` and its bytes `raw`.
+def _split_headers(text: str) -> Message:
+    """A compat32 Message with the header block of `text` and the rest of
+    it as its payload: what `email.parser.Parser().parsestr(text,
+    headersonly=True)` builds, from one pass over the header lines.
+
+    The rules are compat32 FeedParser's.  Lines end at "\r\n", "\r" or
+    "\n".  The block ends at the first line that `_HEADER_LINE_RE` does
+    not match; a blank line there is dropped, any other stays in the
+    body.  A line that starts with a space or tab continues the header
+    before it, and is dropped if none is open.  A "From " line is the
+    unixfrom on the first line, starts the body on the last, and is
+    dropped elsewhere, as is a line that starts with ":".  Defects are
+    not collected: nothing in this package reads `Message.defects`.
+    """
+    lines = []
+    pos = 0
+    match = _HEADER_LINE_RE.match
+    while (line := match(text, pos)) is not None:
+        lines.append(line[0])
+        pos = line.end()
+    if text.startswith("\r\n", pos):
+        pos += 2
+    elif text.startswith(("\r", "\n"), pos):
+        pos += 1
+    msg = Message()
+    source: list[str] = []  # the lines of the open header
+    last = len(lines) - 1
+    for i, line in enumerate(lines):
+        if line[0] in " \t":
+            if source:
+                source.append(line)
+            continue
+        if source:
+            msg.set_raw(*_header_source_parse(source))
+            source = []
+        if line.startswith("From "):
+            if i == 0:
+                msg.set_unixfrom(line.rstrip("\r\n"))
+            elif i == last:
+                msg.set_payload(line + text[pos:])  # a blank line between is dropped
+                return msg
+        elif line[0] != ":":
+            source = [line]
+    if source:
+        msg.set_raw(*_header_source_parse(source))
+    msg.set_payload(text[pos:])
+    return msg
+
+
+def _header_source_parse(source: list[str]) -> tuple[str, str]:
+    """(name, value) of a header from its lines, as compat32 stores it."""
+    name, value = source[0].split(":", 1)
+    return name, (value.lstrip(" \t") + "".join(source[1:])).rstrip("\r\n")
+
+
+def _body_parts(msg, raw: bytes, memo: _Memo) -> list:
+    """(part, `memo.part_facts(part)`) of each leaf of a message's MIME
+    tree, in the order `Message.walk` gives them, from its header split
+    `msg` and its bytes `raw`.
 
     A multipart body is split on its boundary lines (`_part_texts`) and
-    each part parsed headers-only, recursively: the full parse would
-    compile one boundary regex per multipart message.  A message with a
-    message/* part anywhere (rfc822, delivery-status, or a digest part
-    without a Content-Type) is parsed in full from `raw` instead.
+    each part's header block split in turn (`_split_headers`),
+    recursively: the full parse would compile one boundary regex per
+    multipart message.  A message with a message/* part anywhere
+    (rfc822, delivery-status, or a digest part without a Content-Type)
+    is parsed in full from `raw` instead.
     """
     parts: list = []
-    if _add_leaves(msg, parts):
+    if _add_leaves(msg, parts, memo):
         return parts
-    return email.message_from_bytes(raw).walk()
+    return [(part, memo.part_facts(part)) for part in email.message_from_bytes(raw).walk()]
 
 
-def _add_leaves(msg, parts: list, nested: bool = False) -> bool:
-    """Append the leaves under `msg` to `parts`; False at a message/* part.
+def _add_leaves(msg, parts: list, memo: _Memo, nested: bool = False) -> bool:
+    """Append the leaves under `msg`, each with its facts, to `parts`;
+    False at a message/* part.
 
-    The tree is feedparser's: a multipart without a boundary parameter,
+    The tree is compat32's: a multipart without a boundary parameter,
     or without a start boundary line, is a leaf, and so is every part
     that is not multipart.  A `nested` leaf loses one trailing line end
     from its payload, which RFC 2046 gives to the boundary that follows.
     """
-    maintype, _, subtype = msg.get_content_type().partition("/")
+    facts = memo.part_facts(msg)
+    maintype, _, subtype = facts[0].partition("/")
     if maintype == "message":
         return False
     boundary = msg.get_boundary() if maintype == "multipart" else None
@@ -282,13 +346,13 @@ def _add_leaves(msg, parts: list, nested: bool = False) -> bool:
                 msg.set_payload(payload[:-2])
             elif payload.endswith(("\r", "\n")):
                 msg.set_payload(payload[:-1])
-        parts.append(msg)
+        parts.append((msg, facts))
         return True
     for text in texts:
-        part = _PART_PARSER.parsestr(text, headersonly=True)
+        part = _split_headers(text)
         if subtype == "digest":
             part.set_default_type("message/rfc822")
-        if not _add_leaves(part, parts, nested=True):
+        if not _add_leaves(part, parts, memo, nested=True):
             return False
     return True
 
@@ -354,7 +418,9 @@ class _Memo:
     form, so `canonicalize_actor` runs once per raw address for the
     memo's life: one parse_mbox call, or one pool worker process.
     `words` holds one string per distinct token, which every event's
-    token list shares.
+    token list shares.  `part_facts` gives a MIME part's content type,
+    file name and charset, and works them out once per distinct
+    (Content-Type, Content-Disposition, default type) (`by_part`).
     """
 
     def __init__(self, aliases: dict[str, str]):
@@ -362,6 +428,30 @@ class _Memo:
         self.by_value: dict[str, tuple[str | None, ...]] = {}
         self.by_raw: dict[str, str | None] = {}
         self.words: dict[str, str] = {}
+        self.by_part: dict[tuple, tuple[str, str | None, str | None]] = {}
+
+    def part_facts(self, part: Message) -> tuple[str, str | None, str | None]:
+        """(`get_content_type()`, `get_filename()`, `get_content_charset()`)
+        of `part`, which depend on these three values only.  A header value
+        that is not a str (compat32 gives an `email.header.Header` for
+        8-bit bytes) is not cached.  A multipart's boundary parameter is
+        unique to its message, so a multipart is not cached either, and
+        its file name and charset, which nothing reads, are given as None.
+        """
+        content_type = part.get("Content-Type")
+        disposition = part.get("Content-Disposition")
+        key = content_type, disposition, part.get_default_type()
+        cached = ((content_type is None or type(content_type) is str)
+                  and (disposition is None or type(disposition) is str))
+        found = self.by_part.get(key) if cached else None
+        if found is None:
+            content_type = part.get_content_type()
+            if content_type.startswith("multipart/"):
+                return content_type, None, None
+            found = content_type, part.get_filename(), part.get_content_charset()
+            if cached:
+                self.by_part[key] = found
+        return found
 
     def addresses(self, value: str) -> tuple[str | None, ...]:
         found = self.by_value.get(value)
@@ -382,8 +472,8 @@ class _Memo:
 def _message_to_event(
     msg, raw: bytes, config: IngestConfig, memo: _Memo
 ) -> MessageEvent | None:
-    """Convert one mail message, parsed headers-only into `msg` from its
-    bytes `raw`; None means skip (caller counts it).
+    """Convert one mail message, its header block split into `msg` from
+    its bytes `raw`; None means skip (caller counts it).
 
     Address headers are split as they stand: the addr-spec never needs
     RFC 2047 decoding, and decoding first would let an encoded display
@@ -424,7 +514,7 @@ def _message_to_event(
         message_id = f"<generated-{digest}@orgsignals>"
 
     in_reply_to = (msg.get("In-Reply-To") or "").strip() or None
-    body = strip_quoted_reply(_extract_body(_body_parts(msg, raw)))
+    body = strip_quoted_reply(_extract_body(_body_parts(msg, raw, memo)))
     return MessageEvent(
         message_id=message_id,
         timestamp=timestamp,
@@ -471,9 +561,10 @@ def _message_bytes(lines: list[bytes]) -> bytes:
 
 
 # A corpus gets at most one pool worker per this many bytes, and pieces
-# of about this size or more.  A worker parses 1 MiB of mail in 0.4 to
-# 0.5 s, not much more than the pool takes to start, about 0.3 s, mostly
-# each worker's import of `ingest` and numpy (2-core Xeon, Python 3.11).
+# of about this size or more.  A worker parses 1 MiB of mail in 0.16 to
+# 0.29 s, about as long as the pool takes to start, about 0.3 s, mostly
+# each worker's import of `ingest` and numpy (seed-1 mbox-ingest mail,
+# one CPU, 2-core Xeon, Python 3.11).
 _MIN_PIECE_BYTES = 1 << 20
 _PIECES_PER_WORKER = 4
 
@@ -498,7 +589,7 @@ def _parse_piece(
     config, memo = state or _worker_state
     skipped, events = 0, []
     for raw in _mbox_messages(*piece):
-        msg = _HEADERS_PARSER.parsebytes(raw, headersonly=True)
+        msg = _split_headers(raw.decode("ascii", "surrogateescape"))
         try:
             event = _message_to_event(msg, raw, config, memo)
         except Exception:

@@ -7,8 +7,9 @@ local-extrema count, response runs by an explicit message-list scanner
 (and, over whole event lists, by one merged sort per actor pair), OLS
 by the normal equations, the columnar event stages by walking the
 event objects one at a time, the event CSV reader by parsing each
-row into a MessageEvent and validating it, and a mail's body by the
-standard library's full MIME parse.
+row into a MessageEvent and validating it, a mail's body by the
+standard library's full MIME parse, and a mail's header block by the
+standard library's headers-only parse.
 """
 
 import csv
@@ -17,6 +18,7 @@ import math
 from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from datetime import datetime, timezone
+from email.parser import BytesParser
 from fractions import Fraction
 from itertools import chain
 
@@ -327,7 +329,7 @@ def full_parse_body(raw: bytes) -> str:
         charset = part.get_content_charset() or "utf-8"
         try:
             text = payload.decode(charset, errors="replace")
-        except LookupError:
+        except (LookupError, UnicodeError):  # no text codec, or one that refuses "replace"
             text = payload.decode("utf-8", errors="replace")
         if subtype == "plain":
             plain = text
@@ -336,3 +338,8 @@ def full_parse_body(raw: bytes) -> str:
     if plain is not None:
         return plain
     return _html_to_text(markup) if markup is not None else ""
+
+
+def stdlib_split_headers(raw: bytes):
+    """The compat32 Message of a mail's header block, its body the payload."""
+    return BytesParser().parsebytes(raw, headersonly=True)

@@ -228,6 +228,22 @@ def test_analyze_debug_windows(tmp_path, scenario_file):
     assert len(debug) > 1
 
 
+def test_analyze_debug_windows_refuses_overwrite_before_computing(
+        tmp_path, scenario_file, monkeypatch, capsys):
+    bundle = simulate(tmp_path, scenario_file)
+    out = tmp_path / "analysis"
+    out.mkdir()
+    (out / "windows_team0.csv").write_text("kept\n")
+    monkeypatch.setattr(orgsignals.signals, "compute_signal_record",
+                        fail_if_called("compute_signal_record"))
+    capsys.readouterr()
+    assert run(analyze_args(bundle, out, ["--debug-windows"])) == 1
+    assert capsys.readouterr().err == (
+        f"error: refusing to overwrite {out / 'windows_team0.csv'} (use --force)\n")
+    assert (out / "windows_team0.csv").read_text() == "kept\n"
+    assert not (out / "signals.csv").exists()
+
+
 def test_analyze_empty_events(tmp_path):
     events = tmp_path / "events.csv"
     events.write_text(

@@ -1,6 +1,7 @@
 """Mbox parsing, actor canonicalization, tokenization, and event CSV I/O."""
 
 import concurrent.futures
+import email.feedparser
 import mailbox
 import os
 import string
@@ -31,7 +32,7 @@ from orgsignals.ingest import (
 
 import orgsignals.ingest as ingest
 from conftest import T0, mk_event
-from oracles import full_parse_body
+from oracles import full_parse_body, stdlib_split_headers
 from test_integration import unit_events
 
 
@@ -510,8 +511,8 @@ def mime_message(draw):
 
 
 def walked_body(raw):
-    msg = ingest._HEADERS_PARSER.parsebytes(raw, headersonly=True)
-    return ingest._extract_body(ingest._body_parts(msg, raw))
+    msg = ingest._split_headers(raw.decode("ascii", "surrogateescape"))
+    return ingest._extract_body(ingest._body_parts(msg, raw, ingest._Memo({})))
 
 
 def body_or_fault(extract, raw):
@@ -548,9 +549,140 @@ def mime(content_type, *lines, end="\n"):
 @example(mime('multipart/mixed; boundary="B"',
               "--B", 'Content-Disposition: attachment; filename="a.txt"', "", "attached",
               "--B", "", "words", "--B--"))
+@example(mime("text/plain; charset=idna", "words"))  # "replace" unsupported
+@example(mime("text/plain; charset=punycode", "caf\u00e9"))  # 8-bit bytes
 @settings(max_examples=300, deadline=None)
 def test_walked_body_matches_full_parse(raw):
     assert body_or_fault(walked_body, raw) == body_or_fault(full_parse_body, raw)
+
+
+@pytest.mark.parametrize("charset, body", [("idna", "hello world"),
+                                           ("punycode", "caf\u00e9 au lait")])
+def test_part_in_charset_that_cannot_decode_keeps_message(tmp_path, charset, body):
+    path = tmp_path / "one.mbox"
+    make_mbox(path, [({**BASE_HEADERS, "Content-Type": f"text/plain; charset={charset}"}, body)])
+    report = IngestReport()
+    (event,) = parse_mbox(path, report=report)
+    assert event.tokens == tokenize(body)  # decoded as UTF-8
+    assert report.skipped == 0
+
+
+def test_part_facts_are_the_stdlib_values_for_each_header_value():
+    memo = ingest._Memo({})
+    texts = ["", "Content-Type: text/plain\n", "Content-Type: text/plain; charset=latin-1\n",
+             'Content-Disposition: attachment; filename="a.txt"\n',
+             "Content-Type: text/html; name=b.html\n",
+             "Content-Type: text/plain; charset=caf\udce9\n"]  # 8-bit: a Header, not a str
+    for default in ["text/plain", "message/rfc822"] * 2:
+        for text in texts:
+            part = ingest._split_headers(text)
+            part.set_default_type(default)
+            assert memo.part_facts(part) == (
+                part.get_content_type(), part.get_filename(), part.get_content_charset())
+    # a boundary is unique to its message: multiparts are not kept
+    part = ingest._split_headers('Content-Type: multipart/mixed; boundary="B"\n')
+    assert memo.part_facts(part) == ("multipart/mixed", None, None)
+    assert all(not facts[0].startswith("multipart/") for facts in memo.by_part.values())
+
+
+# ---------------------------------------------------------------------------
+# header blocks: the one-pass split against the stdlib headers-only parse
+# ---------------------------------------------------------------------------
+
+HEADER_BLOCK_LINES = [
+    "Subject: hello", "To: b@x.com", "X-Empty:", "Subject:\t  spaced ", " folded", "\tfolded",
+    " ", "From a@x.com Mon Jan  1 00:00:00 2024", "From: a@x.com", ": no name", "no colon",
+    "Two Words: x", "caf\u00e9: 8-bit name", "X-8bit: caf\u00e9", "", "--B",
+]
+
+
+@st.composite
+def header_block(draw):
+    """The bytes of a header block and a body, lines ended by "\n", "\r\n"
+    or "\r", one kind or mixed; the last line may have no line end."""
+    lines = draw(st.lists(st.sampled_from(HEADER_BLOCK_LINES), max_size=8))
+    lines += draw(st.lists(st.sampled_from(BODY_LINES), max_size=3))
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]]))
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode(draw(st.sampled_from(["utf-8", "latin-1"])))
+
+
+def split_fields(msg):
+    # the raw payload: get_payload() would read distinct 8-bit bytes as one U+FFFD
+    return msg._headers, msg._payload, msg.get_unixfrom()
+
+
+@given(header_block())
+@example(b"From: a@x.com\rTo: b@x.com\r\rbody\r")  # CR line ends
+@example(b"From: a@x.com\r\nTo: b@x.com\r\n folded\r\n\r\nbody\r\n")  # CRLF line ends
+@example(b"From: a@x.com\nTo: b@x.com\r\n folded\rCc: c@x.com\r\n\rbody\n")  # mixed
+@example(b" lead\nSubject: hello\n\nbody\n")  # a continuation line first
+@example(b"From a@x.com Mon Jan  1 00:00:00 2024\r\n\tlead\r\nSubject: hello\r\n\r\nbody")
+@example(b"Subject: hello\nFrom a@x.com Mon Jan  1\n folded\nTo: b@x.com\n\nbody\n")
+@example(b"Subject: hello\nFrom a@x.com Mon Jan  1\n\nbody\n")  # "From " last, then blank
+@example(b"Subject: hello\nFrom a@x.com Mon Jan  1\nno colon\nbody\n")
+@example(b"Subject: hello\n: no name\n folded\nTo: b@x.com\n\nbody\n")  # ":" first
+@example(b"Subject: hello\nno colon\n\nbody\n")  # no blank line before the body
+@example(b"no colon\nSubject: hello\n")  # no headers at all
+@example(b"\r\nSubject: hello\r\n")
+@example(b"")
+@example(b"Subject:\t  hello \r\n folded ")  # no line end at the end
+@example(b"X-8bit: caf\xc3\xa9\ncaf\xe9: 8-bit name\n\nbody \xff\n")  # 8-bit bytes
+@settings(max_examples=300, deadline=None)
+def test_header_split_matches_stdlib_parse(raw):
+    split = ingest._split_headers(raw.decode("ascii", "surrogateescape"))
+    assert split_fields(split) == split_fields(stdlib_split_headers(raw))
+
+
+def mime_mbox(path, count):
+    """`count` mails of five MIME shapes, none with a message/* part:
+    single-part, alternative, nested mixed with an attachment, base64
+    and quoted-printable; every other one has CRLF line ends."""
+    shapes = [
+        ("text/plain", ["plain words"]),
+        ('multipart/alternative; boundary="alt"',
+         ["--alt", "Content-Type: text/plain", "", "alternative words", "--alt",
+          "Content-Type: text/html", "", "<p>markup words</p>", "--alt--"]),
+        ('multipart/mixed; boundary="mix"',
+         ["preamble", "--mix", 'Content-Type: multipart/alternative; boundary="alt"', "",
+          "--alt", "Content-Type: text/plain; charset=utf-8",
+          "Content-Transfer-Encoding: base64", "", "bmVzdGVkIHdvcmRz", "--alt--", "--mix",
+          'Content-Type: application/pdf; name="a.pdf"',
+          'Content-Disposition: attachment; filename="a.pdf"', "", "JVBERi0=", "--mix--"]),
+        ("text/plain; charset=utf-8", ["caf=C3=A9 quoted words"]),
+        ('multipart/mixed; boundary="=_x"',
+         ["--=_x", 'Content-Disposition: attachment; filename="a.txt"', "", "attached",
+          "--=_x", "Content-Type: text/plain; format=flowed", "", "mixed words", "--=_x--"]),
+    ]
+    with open(path, "wb") as fh:
+        for i in range(count):
+            content_type, body = shapes[i % len(shapes)]
+            end = "\r\n" if i % 2 else "\n"
+            encoding = ["Content-Transfer-Encoding: quoted-printable"] if i % 5 == 3 else []
+            lines = ["From MAILER-DAEMON Mon Jan  1 00:00:00 2024", "From: a@x.com",
+                     "To: b@x.com", f"Date: Mon, 1 Jan 2024 00:{i % 60:02}:00 +0000",
+                     f"Message-ID: <m{i}@x.com>", f"Content-Type: {content_type}", *encoding,
+                     "", *body, ""]
+            fh.write(end.join(lines).encode())
+
+
+def test_parse_piece_runs_no_feedparser(tmp_path, monkeypatch):
+    path = tmp_path / "mime.mbox"
+    mime_mbox(path, 50)
+    piece = str(path), 0, path.stat().st_size
+    expected = ingest._parse_piece(piece, (IngestConfig(), ingest._Memo({})))
+    assert expected[0] == 0
+    assert [event.tokens for event in expected[1][:5]] == [
+        ["plain", "words"], ["alternative", "words"], ["nested", "words"],
+        ["café", "quoted", "words"], ["mixed", "words"]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("email.feedparser parsed a mail")
+
+    monkeypatch.setattr(email.feedparser.FeedParser, "__init__", refuse)
+    assert ingest._parse_piece(piece, (IngestConfig(), ingest._Memo({}))) == expected
 
 
 # ---------------------------------------------------------------------------
