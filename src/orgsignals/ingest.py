@@ -213,8 +213,7 @@ def _decode_mime_header(value) -> str:
 
 def _extract_body(parts) -> str:
     """Best-effort plain text body of a message, given its parts in walk
-    order, each with its `_Memo.part_facts`; text/plain preferred over
-    text/html.
+    order; text/plain preferred over text/html.
 
     Only the first text/plain and the first text/html part without a
     file name are decoded.  A charset that names no text codec, or one
@@ -222,8 +221,8 @@ def _extract_body(parts) -> str:
     punycode), falls back to UTF-8.
     """
     plain, markup = None, None
-    for part, (content_type, filename, charset) in parts:
-        maintype, _, subtype = content_type.partition("/")
+    for part in parts:
+        maintype, _, subtype = part.get_content_type().partition("/")
         if maintype != "text":
             continue
         if subtype == "plain":
@@ -231,13 +230,14 @@ def _extract_body(parts) -> str:
                 continue
         elif subtype != "html" or markup is not None:
             continue
-        if filename:
+        if part.get_filename():
             continue
         payload = part.get_payload(decode=True)
         if payload is None:
             continue
+        charset = part.get_content_charset() or "utf-8"
         try:
-            text = payload.decode(charset or "utf-8", errors="replace")
+            text = payload.decode(charset, errors="replace")
         except (LookupError, UnicodeError):
             text = payload.decode("utf-8", errors="replace")
         if subtype == "plain":
@@ -284,7 +284,7 @@ def _split_headers(text: str) -> Message:
                 source.append(line)
             continue
         if source:
-            msg.set_raw(*_header_source_parse(source))
+            msg.set_raw(*msg.policy.header_source_parse(source))
             source = []
         if line.startswith("From "):
             if i == 0:
@@ -295,21 +295,14 @@ def _split_headers(text: str) -> Message:
         elif line[0] != ":":
             source = [line]
     if source:
-        msg.set_raw(*_header_source_parse(source))
+        msg.set_raw(*msg.policy.header_source_parse(source))
     msg.set_payload(text[pos:])
     return msg
 
 
-def _header_source_parse(source: list[str]) -> tuple[str, str]:
-    """(name, value) of a header from its lines, as compat32 stores it."""
-    name, value = source[0].split(":", 1)
-    return name, (value.lstrip(" \t") + "".join(source[1:])).rstrip("\r\n")
-
-
-def _body_parts(msg, raw: bytes, memo: _Memo) -> list:
-    """(part, `memo.part_facts(part)`) of each leaf of a message's MIME
-    tree, in the order `Message.walk` gives them, from its header split
-    `msg` and its bytes `raw`.
+def _body_parts(msg, raw: bytes):
+    """The leaves of a message's MIME tree in the order `Message.walk`
+    gives them, from its header split `msg` and its bytes `raw`.
 
     A multipart body is split on its boundary lines (`_part_texts`) and
     each part's header block split in turn (`_split_headers`),
@@ -319,22 +312,20 @@ def _body_parts(msg, raw: bytes, memo: _Memo) -> list:
     is parsed in full from `raw` instead.
     """
     parts: list = []
-    if _add_leaves(msg, parts, memo):
+    if _add_leaves(msg, parts):
         return parts
-    return [(part, memo.part_facts(part)) for part in email.message_from_bytes(raw).walk()]
+    return email.message_from_bytes(raw).walk()
 
 
-def _add_leaves(msg, parts: list, memo: _Memo, nested: bool = False) -> bool:
-    """Append the leaves under `msg`, each with its facts, to `parts`;
-    False at a message/* part.
+def _add_leaves(msg, parts: list, nested: bool = False) -> bool:
+    """Append the leaves under `msg` to `parts`; False at a message/* part.
 
     The tree is compat32's: a multipart without a boundary parameter,
     or without a start boundary line, is a leaf, and so is every part
     that is not multipart.  A `nested` leaf loses one trailing line end
     from its payload, which RFC 2046 gives to the boundary that follows.
     """
-    facts = memo.part_facts(msg)
-    maintype, _, subtype = facts[0].partition("/")
+    maintype, _, subtype = msg.get_content_type().partition("/")
     if maintype == "message":
         return False
     boundary = msg.get_boundary() if maintype == "multipart" else None
@@ -346,13 +337,13 @@ def _add_leaves(msg, parts: list, memo: _Memo, nested: bool = False) -> bool:
                 msg.set_payload(payload[:-2])
             elif payload.endswith(("\r", "\n")):
                 msg.set_payload(payload[:-1])
-        parts.append((msg, facts))
+        parts.append(msg)
         return True
     for text in texts:
         part = _split_headers(text)
         if subtype == "digest":
             part.set_default_type("message/rfc822")
-        if not _add_leaves(part, parts, memo, nested=True):
+        if not _add_leaves(part, parts, nested=True):
             return False
     return True
 
@@ -418,9 +409,7 @@ class _Memo:
     form, so `canonicalize_actor` runs once per raw address for the
     memo's life: one parse_mbox call, or one pool worker process.
     `words` holds one string per distinct token, which every event's
-    token list shares.  `part_facts` gives a MIME part's content type,
-    file name and charset, and works them out once per distinct
-    (Content-Type, Content-Disposition, default type) (`by_part`).
+    token list shares.
     """
 
     def __init__(self, aliases: dict[str, str]):
@@ -428,30 +417,6 @@ class _Memo:
         self.by_value: dict[str, tuple[str | None, ...]] = {}
         self.by_raw: dict[str, str | None] = {}
         self.words: dict[str, str] = {}
-        self.by_part: dict[tuple, tuple[str, str | None, str | None]] = {}
-
-    def part_facts(self, part: Message) -> tuple[str, str | None, str | None]:
-        """(`get_content_type()`, `get_filename()`, `get_content_charset()`)
-        of `part`, which depend on these three values only.  A header value
-        that is not a str (compat32 gives an `email.header.Header` for
-        8-bit bytes) is not cached.  A multipart's boundary parameter is
-        unique to its message, so a multipart is not cached either, and
-        its file name and charset, which nothing reads, are given as None.
-        """
-        content_type = part.get("Content-Type")
-        disposition = part.get("Content-Disposition")
-        key = content_type, disposition, part.get_default_type()
-        cached = ((content_type is None or type(content_type) is str)
-                  and (disposition is None or type(disposition) is str))
-        found = self.by_part.get(key) if cached else None
-        if found is None:
-            content_type = part.get_content_type()
-            if content_type.startswith("multipart/"):
-                return content_type, None, None
-            found = content_type, part.get_filename(), part.get_content_charset()
-            if cached:
-                self.by_part[key] = found
-        return found
 
     def addresses(self, value: str) -> tuple[str | None, ...]:
         found = self.by_value.get(value)
@@ -514,7 +479,7 @@ def _message_to_event(
         message_id = f"<generated-{digest}@orgsignals>"
 
     in_reply_to = (msg.get("In-Reply-To") or "").strip() or None
-    body = strip_quoted_reply(_extract_body(_body_parts(msg, raw, memo)))
+    body = strip_quoted_reply(_extract_body(_body_parts(msg, raw)))
     return MessageEvent(
         message_id=message_id,
         timestamp=timestamp,
@@ -561,7 +526,7 @@ def _message_bytes(lines: list[bytes]) -> bytes:
 
 
 # A corpus gets at most one pool worker per this many bytes, and pieces
-# of about this size or more.  A worker parses 1 MiB of mail in 0.16 to
+# of about this size or more.  A worker parses 1 MiB of mail in 0.18 to
 # 0.29 s, about as long as the pool takes to start, about 0.3 s, mostly
 # each worker's import of `ingest` and numpy (seed-1 mbox-ingest mail,
 # one CPU, 2-core Xeon, Python 3.11).

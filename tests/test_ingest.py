@@ -512,7 +512,7 @@ def mime_message(draw):
 
 def walked_body(raw):
     msg = ingest._split_headers(raw.decode("ascii", "surrogateescape"))
-    return ingest._extract_body(ingest._body_parts(msg, raw, ingest._Memo({})))
+    return ingest._extract_body(ingest._body_parts(msg, raw))
 
 
 def body_or_fault(extract, raw):
@@ -551,6 +551,12 @@ def mime(content_type, *lines, end="\n"):
               "--B", "", "words", "--B--"))
 @example(mime("text/plain; charset=idna", "words"))  # "replace" unsupported
 @example(mime("text/plain; charset=punycode", "caf\u00e9"))  # 8-bit bytes
+# an attachment's RFC 2231 name in a codec that refuses "replace": only a
+# text part's file name is read
+@example(mime('multipart/mixed; boundary="B"',
+              "--B", "Content-Type: text/plain", "", "words",
+              "--B", "Content-Type: application/pdf; name*=idna''a.pdf", "", "JVBERi0=",
+              "--B--"))
 @settings(max_examples=300, deadline=None)
 def test_walked_body_matches_full_parse(raw):
     assert body_or_fault(walked_body, raw) == body_or_fault(full_parse_body, raw)
@@ -565,24 +571,6 @@ def test_part_in_charset_that_cannot_decode_keeps_message(tmp_path, charset, bod
     (event,) = parse_mbox(path, report=report)
     assert event.tokens == tokenize(body)  # decoded as UTF-8
     assert report.skipped == 0
-
-
-def test_part_facts_are_the_stdlib_values_for_each_header_value():
-    memo = ingest._Memo({})
-    texts = ["", "Content-Type: text/plain\n", "Content-Type: text/plain; charset=latin-1\n",
-             'Content-Disposition: attachment; filename="a.txt"\n',
-             "Content-Type: text/html; name=b.html\n",
-             "Content-Type: text/plain; charset=caf\udce9\n"]  # 8-bit: a Header, not a str
-    for default in ["text/plain", "message/rfc822"] * 2:
-        for text in texts:
-            part = ingest._split_headers(text)
-            part.set_default_type(default)
-            assert memo.part_facts(part) == (
-                part.get_content_type(), part.get_filename(), part.get_content_charset())
-    # a boundary is unique to its message: multiparts are not kept
-    part = ingest._split_headers('Content-Type: multipart/mixed; boundary="B"\n')
-    assert memo.part_facts(part) == ("multipart/mixed", None, None)
-    assert all(not facts[0].startswith("multipart/") for facts in memo.by_part.values())
 
 
 # ---------------------------------------------------------------------------
