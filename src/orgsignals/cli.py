@@ -26,6 +26,7 @@ from . import ingest as ing
 from . import signals as sig
 from . import synth
 from .graph import TimeWindowConfig, build_windows, write_window_csv
+from .table import stamp_datetime, stamp_us
 
 log = logging.getLogger("orgsignals")
 
@@ -209,9 +210,9 @@ def cmd_analyze(args) -> int:
 
     with _reading_input():
         if corpus_start is None:
-            corpus_start = ing.stamp_datetime(events.stamp_us[0])
+            corpus_start = stamp_datetime(events.stamp_us[0])
         if corpus_end is None:
-            corpus_end = ing.stamp_datetime(events.stamp_us[-1]) + timedelta(seconds=1)
+            corpus_end = stamp_datetime(events.stamp_us[-1]) + timedelta(seconds=1)
         _check_range(corpus_start, corpus_end, "corpus")
         window_cfg = TimeWindowConfig(
             window_length=timedelta(days=args.window_days),
@@ -249,9 +250,14 @@ def cmd_analyze(args) -> int:
             elif first < last:
                 streams[unit] = events.take(rows[first:last])
 
-    if args.debug_windows:  # refuse an existing output before any record is computed
-        for unit in streams:
-            _out_path(args.out_dir, f"windows_{_safe_name(unit)}.csv", args.force)
+    window_paths: dict[str, Path] = {}  # unit -> its --debug-windows file
+    if args.debug_windows:  # refuse an existing or shared file before any record is computed
+        owners: dict[str, str] = {}  # file name -> unit
+        for unit in sorted(streams):
+            name = f"windows_{_safe_name(unit)}.csv"
+            if owners.setdefault(name, unit) != unit:
+                raise CliError(f"--debug-windows: units {owners[name]!r} and {unit!r} share {name}")
+            window_paths[unit] = _out_path(args.out_dir, name, args.force)
 
     if args.period == "monthly":
         periods = _month_periods(corpus_start, corpus_end)
@@ -262,19 +268,15 @@ def cmd_analyze(args) -> int:
     for unit in sorted(streams):
         stream = streams[unit]
         for start, end in periods:
-            first = np.searchsorted(stream.stamp_us, ing.stamp_us(start))
-            if first == len(stream) or stream.stamp_us[first] >= ing.stamp_us(end):
+            first = np.searchsorted(stream.stamp_us, stamp_us(start))
+            if first == len(stream) or stream.stamp_us[first] >= stamp_us(end):
                 continue  # no events in this period
             records.append(sig.compute_signal_record(
                 unit, (start, end), stream, window_cfg, lexicon,
                 members=members[unit], response_horizon=horizon,
             ))
-        if args.debug_windows:
-            graphs = build_windows(stream, window_cfg)
-            write_window_csv(
-                graphs,
-                _out_path(args.out_dir, f"windows_{_safe_name(unit)}.csv", args.force),
-            )
+        if unit in window_paths:
+            write_window_csv(build_windows(stream, window_cfg), window_paths[unit])
 
     sig.write_signals_csv(records, signals_path)
     log.info("analyze: wrote %d signal rows for %d units", len(records), len(members))

@@ -24,7 +24,8 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from . import _betweenness_py as _kernel
-from .ingest import EventTable, MessageEvent, as_event_table, concat_ranges, stamp_us
+from .ingest import MessageEvent
+from .table import EventTable, concat_ranges, stamp_us
 
 
 class DegenerateWindowError(ValueError):
@@ -180,8 +181,8 @@ def build_windows(events: EventTable | list[MessageEvent], cfg: TimeWindowConfig
                   ) -> list[WindowedGraph]:
     """Build one interaction graph per window position.
 
-    `events` must be time-sorted.  A message falls in a window iff
-    window_start <= timestamp < window_end.
+    `events`, a table or a MessageEvent list, must be time-sorted.  A
+    message falls in a window iff window_start <= timestamp < window_end.
 
     All windows are built at once.  A window node is a (window, actor)
     pair, numbered window after window and in address order within a
@@ -191,7 +192,7 @@ def build_windows(events: EventTable | list[MessageEvent], cfg: TimeWindowConfig
     `np.unique` over the codes src * N + dst, and the symmetrized
     adjacency of every window from one more sort.
     """
-    table = as_event_table(events)
+    table = events if isinstance(events, EventTable) else EventTable.from_events(events)
     spans = window_spans(cfg)
     if not spans:
         return []

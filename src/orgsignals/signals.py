@@ -6,13 +6,13 @@ and the other reply metrics), content (honest_sentiment,
 innovative_language).  Every metric degrades to "missing" (None) rather
 than a fake zero when its inputs are insufficient.
 
-Each stage takes an EventTable, or a MessageEvent list that it converts
-once, and counts on its columns: `np.bincount` over actor and word ids,
-`np.add.reduceat` over each message's tokens, and one pass over integer
-actor-pair keys for the reply runs.  Every float that reaches a signal
-gets the same operations as in a walk over event objects (integer
-counts, exactly rounded `fsum`, `(v - mean) ** 2` on Python floats), so
-the values do not depend on the layout.
+Each stage takes an `orgsignals.table.EventTable` and counts on its
+columns: `np.bincount` over actor and word ids, `np.add.reduceat` over
+each message's tokens, and one pass over integer actor-pair keys for
+the reply runs.  Every float that reaches a signal gets the same
+operations as in a walk over event objects (integer counts, exactly
+rounded `fsum`, `(v - mean) ** 2` on Python floats), so the values do
+not depend on the layout.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ from .graph import (
     group_centralization,
     window_members,
 )
-from .ingest import EventTable, MessageEvent, as_event_table, stamp_datetime, stamp_us
+from .table import EventTable, stamp_datetime, stamp_us
 
 log = logging.getLogger(__name__)
-
-Events = EventTable | list[MessageEvent]
 
 SIGNAL_DIMENSIONS = {
     "central_leadership": "structure",
@@ -157,21 +155,19 @@ def _id_mask(names: list[str], wanted) -> np.ndarray:
     return mask
 
 
-def actor_activity(events: Events) -> dict[str, tuple[int, int]]:
+def actor_activity(table: EventTable) -> dict[str, tuple[int, int]]:
     """Per-actor (sent, received) counts; each recipient occurrence counts 1."""
-    table = as_event_table(events)
     sent, received = _activity(table)
     active = np.flatnonzero(sent + received).tolist()
     return {table.actors[a]: (int(sent[a]), int(received[a])) for a in active}
 
 
-def balanced_contribution(events: Events, actors: set[str] | None = None) -> float:
+def balanced_contribution(table: EventTable, actors: set[str] | None = None) -> float:
     """Population variance of the contribution index over active actors.
 
     `actors` optionally restricts which actors enter the variance (unit
     members, typically); actors with no activity are excluded either way.
     """
-    table = as_event_table(events)
     sent, received = _activity(table)
     active = sent + received >= 1
     if actors is not None:
@@ -239,7 +235,7 @@ def rotating_leadership(
 # ---------------------------------------------------------------------------
 
 def extract_response_events(
-    events: Events,
+    table: EventTable,
     max_response_horizon: timedelta = DEFAULT_RESPONSE_HORIZON,
 ) -> list[ResponseEvent]:
     """Find every ordered actor pair's request runs and their replies.
@@ -256,7 +252,7 @@ def extract_response_events(
     Pairs are keyed sender * A + recipient over actor ids, and times are
     epoch microseconds.
     """
-    table = as_event_table(events).time_sorted()
+    table = table.time_sorted()
     k = len(table.actors)
     horizon = max_response_horizon // timedelta(microseconds=1)
     src = table.recipient_senders().astype(np.int64)
@@ -333,9 +329,8 @@ def _polarity(lexicon: LexiconConfig) -> dict[str, int]:
     return polarity
 
 
-def honest_sentiment(events: Events, lexicon: LexiconConfig) -> float:
+def honest_sentiment(table: EventTable, lexicon: LexiconConfig) -> float:
     """Population standard deviation of per-message emotionality."""
-    table = as_event_table(events)
     emotional = _id_mask(table.words, _polarity(lexicon)).view(np.int8)
     indptr = table.token_indptr
     lengths = np.diff(indptr)
@@ -366,9 +361,8 @@ def jensen_shannon_divergence(p: dict[str, float], q: dict[str, float]) -> float
     return min(1.0, max(0.0, math.fsum(terms)))
 
 
-def token_counts(events: Events) -> Counter[str]:
+def token_counts(table: EventTable) -> Counter[str]:
     """How often each word occurs in the tokens of the events."""
-    table = as_event_table(events)
     per_word = np.bincount(table.token_ids, minlength=len(table.words))
     used = np.flatnonzero(per_word)
     return Counter(dict(zip([table.words[w] for w in used.tolist()], per_word[used].tolist())))
@@ -409,12 +403,11 @@ def out_of_vocabulary_rate(
 # Composition
 # ---------------------------------------------------------------------------
 
-def _window_ci_vectors(events: Events, graphs) -> list[dict[str, float]]:
+def _window_ci_vectors(table: EventTable, graphs) -> list[dict[str, float]]:
     """Per-window contribution index per actor; inactive actors omitted.
 
     The (window, actor) pairs of all windows are counted at once.
     """
-    table = as_event_table(events)
     k = len(table.actors)
     spans = [(g.window_start, g.window_end) for g in graphs]
     row_window, rows, entry_window, entries = window_members(table, spans)
@@ -434,7 +427,7 @@ def _window_ci_vectors(events: Events, graphs) -> list[dict[str, float]]:
 def compute_signal_record(
     unit: str,
     period: tuple[datetime, datetime],
-    events: Events,
+    table: EventTable,
     window_cfg: TimeWindowConfig,
     lexicon: LexiconConfig,
     members: set[str] | None = None,
@@ -442,7 +435,7 @@ def compute_signal_record(
 ) -> SignalRecord:
     """Populate a SignalRecord for one unit's event stream over one period.
 
-    `events` is the unit's time-sorted stream (sender belongs to the unit);
+    `table` is the unit's time-sorted stream (sender belongs to the unit);
     the period's events are found in it by bisection.  `members` restricts
     actor-level aggregates to the unit roster; without it every actor
     appearing in the stream is aggregated.  Sub-signals whose
@@ -451,7 +444,6 @@ def compute_signal_record(
     start, end = period
     if end <= start:
         raise ValueError("empty period")
-    table = as_event_table(events)
     first, last = np.searchsorted(
         table.stamp_us, [stamp_us(start), stamp_us(end)], side="left"
     ).tolist()
@@ -490,13 +482,8 @@ def compute_signal_record(
     # dynamics: oscillation rates need at least three window positions
     if len(graphs) >= 3:
         ci_series = _window_ci_vectors(events, graphs)
-        pool = members
-        if pool is None:
-            pool = {a for w in betweenness_series for a in w} | {
-                a for w in ci_series for a in w
-            }
-        pool = pool & ({a for w in betweenness_series for a in w}
-                       | {a for w in ci_series for a in w})
+        seen = {a for w in betweenness_series for a in w} | {a for w in ci_series for a in w}
+        pool = seen if members is None else members & seen
         if pool:
             rate_b, rate_ci = rotating_leadership(betweenness_series, ci_series, pool)
             record.rotating_leadership = rate_b

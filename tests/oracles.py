@@ -27,11 +27,11 @@ import numpy as np
 from orgsignals.ingest import (
     EVENT_CSV_COLUMNS,
     EventSchemaError,
-    EventTable,
     MessageEvent,
     _html_to_text,
 )
 from orgsignals.signals import ResponseEvent
+from orgsignals.table import EventTable
 
 
 def brute_betweenness(n: int, edges: set[tuple[int, int]]) -> list[Fraction]:
@@ -309,7 +309,8 @@ def _row_event(row: list[str], lineno: int) -> MessageEvent:
 def full_parse_body(raw: bytes) -> str:
     """The body text of a mail: `email.message_from_bytes` parses it
     whole, and `Message.walk` gives its parts.  The first text/plain part
-    without a file name wins, else the first such text/html part."""
+    without a file name wins, else the first such text/html part; a file
+    name that cannot be decoded is still one."""
     msg = email.message_from_bytes(raw)
     plain, markup = None, None
     for part in msg.walk():
@@ -321,7 +322,10 @@ def full_parse_body(raw: bytes) -> str:
                 continue
         elif subtype != "html" or markup is not None:
             continue
-        if part.get_filename():
+        try:
+            if part.get_filename():
+                continue
+        except UnicodeError:  # an RFC 2231 name that cannot be decoded names a file too
             continue
         payload = part.get_payload(decode=True)
         if payload is None:

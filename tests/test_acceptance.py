@@ -26,6 +26,7 @@ from orgsignals.signals import (
     jensen_shannon_divergence,
     oscillation_count,
 )
+from orgsignals.table import EventTable
 
 from conftest import T0, mk_event
 from oracles import (
@@ -107,7 +108,7 @@ def test_c05_response_extraction_oracle():
                                        message_id=f"<b{trial}-{len(events)}>"))
         got = sorted(
             (r.requester, r.run_start, r.run_last, r.response_at, r.nudges)
-            for r in extract_response_events(events, horizon)
+            for r in extract_response_events(EventTable.from_events(events), horizon)
         )
         expected = sorted(
             [("a@x.com", *run) for run in brute_response_runs(a_times, b_times, horizon)]

@@ -13,9 +13,11 @@ import pytest
 import orgsignals
 from orgsignals.cli import main
 from orgsignals.graph import TimeWindowConfig
-from orgsignals.ingest import EXTERNAL_UNIT, read_event_csv, read_unit_csv
+from orgsignals.ingest import EXTERNAL_UNIT, read_event_csv, read_unit_csv, write_event_csv
 from orgsignals.signals import compute_signal_record, load_lexicon
+from orgsignals.table import EventTable
 
+from conftest import mk_event
 from test_ingest import BASE_HEADERS, make_mbox, write_second_stamp
 
 
@@ -242,6 +244,25 @@ def test_analyze_debug_windows_refuses_overwrite_before_computing(
         f"error: refusing to overwrite {out / 'windows_team0.csv'} (use --force)\n")
     assert (out / "windows_team0.csv").read_text() == "kept\n"
     assert not (out / "signals.csv").exists()
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_analyze_debug_windows_refuses_one_file_for_two_units(
+        tmp_path, monkeypatch, capsys, force):
+    # "a b" and "a_b" both map to windows_a_b.csv
+    events, units = tmp_path / "events.csv", tmp_path / "units.csv"
+    write_event_csv([mk_event("a@x.com", ["b@x.com"], hours=0),
+                     mk_event("b@x.com", ["a@x.com"], hours=1)], events)
+    units.write_text("address,unit\na@x.com,a b\nb@x.com,a_b\n")
+    monkeypatch.setattr(orgsignals.signals, "compute_signal_record",
+                        fail_if_called("compute_signal_record"))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run(["analyze", "--events", events, "--units", units, "--out-dir", out,
+                "--debug-windows", *force]) == 1
+    assert capsys.readouterr().err == (
+        "error: --debug-windows: units 'a b' and 'a_b' share windows_a_b.csv\n")
+    assert not list(out.iterdir())
 
 
 def test_analyze_empty_events(tmp_path):
@@ -571,7 +592,8 @@ def test_analyze_interleaved_units_match_filtered_streams(tmp_path, mixed_bundle
             part = [e for e in streams[unit] if start <= e.timestamp < end]
             if part:
                 expected.append(compute_signal_record(
-                    unit, (start, end), part, cfg, lexicon, members=members[unit],
+                    unit, (start, end), EventTable.from_events(part), cfg, lexicon,
+                    members=members[unit],
                     response_horizon=timedelta(hours=48),
                 ).as_row())
     assert len(expected) == 4 * 3
@@ -606,13 +628,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_ingest_import_leaves_scipy_and_graph_unloaded():
-    # each ingest pool worker imports only this much of the package
+    # each ingest pool worker imports only this much of the package, and
+    # unpickles the function it runs from there
     env = package_env()
-    probe = ("import sys, orgsignals.ingest; "
-             "print('scipy' in sys.modules, 'orgsignals.graph' in sys.modules)")
+    probe = ("import sys, orgsignals.ingest as ingest; "
+             "print(ingest._parse_piece.__module__, 'numpy' in sys.modules, "
+             "'scipy' in sys.modules, 'orgsignals.graph' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True)
-    assert result.stdout.strip() == "False False"
+    assert result.stdout.strip() == "orgsignals.ingest False False False"
 
 
 def test_traced_targets_resolve_after_cli_import():

@@ -557,9 +557,26 @@ def mime(content_type, *lines, end="\n"):
               "--B", "Content-Type: text/plain", "", "words",
               "--B", "Content-Type: application/pdf; name*=idna''a.pdf", "", "JVBERi0=",
               "--B--"))
+# a text part whose RFC 2231 name cannot be decoded is an attachment
+@example(mime('multipart/mixed; boundary="B"',
+              "--B", "Content-Type: text/plain; name*=idna''a.txt", "", "attached",
+              "--B", "Content-Type: text/plain", "", "words", "--B--"))
 @settings(max_examples=300, deadline=None)
 def test_walked_body_matches_full_parse(raw):
     assert body_or_fault(walked_body, raw) == body_or_fault(full_parse_body, raw)
+
+
+def test_text_part_with_undecodable_file_name_keeps_message(tmp_path):
+    path = tmp_path / "one.mbox"
+    make_mbox(path, [({**BASE_HEADERS, "MIME-Version": "1.0",
+                       "Content-Type": 'multipart/mixed; boundary="B"'},
+                      "\n".join(["--B", "Content-Type: text/plain; name*=idna''a.txt", "",
+                                 "attached", "--B", "Content-Type: text/plain", "",
+                                 "hello world", "--B--"]))])
+    report = IngestReport()
+    (event,) = parse_mbox(path, report=report)
+    assert event.tokens == ["hello", "world"]  # the named part is skipped
+    assert report.skipped == 0
 
 
 @pytest.mark.parametrize("charset, body", [("idna", "hello world"),

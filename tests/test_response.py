@@ -12,6 +12,7 @@ from orgsignals.signals import (
     extract_response_events,
     rapid_response,
 )
+from orgsignals.table import EventTable
 
 from conftest import T0, mk_event
 
@@ -23,7 +24,7 @@ def test_single_request_reply():
         mk_event("a@x.com", ["b@x.com"], hours=0),
         mk_event("b@x.com", ["a@x.com"], hours=4),
     ]
-    (r,) = extract_response_events(events)
+    (r,) = extract_response_events(EventTable.from_events(events))
     assert (r.requester, r.responder) == ("a@x.com", "b@x.com")
     assert r.nudges == 1
     assert r.elapsed_hours == pytest.approx(4.0)
@@ -35,7 +36,7 @@ def test_nudge_run_accumulates():
         mk_event("a@x.com", ["b@x.com"], hours=24),
         mk_event("b@x.com", ["a@x.com"], hours=30),
     ]
-    (r,) = extract_response_events(events)
+    (r,) = extract_response_events(EventTable.from_events(events))
     assert r.nudges == 2
     assert r.elapsed_hours == pytest.approx(30.0)
     assert r.run_last == T0 + timedelta(hours=24)
@@ -43,7 +44,7 @@ def test_nudge_run_accumulates():
 
 def test_unanswered_run_censored():
     events = [mk_event("a@x.com", ["b@x.com"], hours=0)]
-    assert extract_response_events(events) == []
+    assert extract_response_events(EventTable.from_events(events)) == []
 
 
 def test_reply_beyond_horizon_censored():
@@ -51,7 +52,7 @@ def test_reply_beyond_horizon_censored():
         mk_event("a@x.com", ["b@x.com"], hours=0),
         mk_event("b@x.com", ["a@x.com"], hours=15 * 24),
     ]
-    assert extract_response_events(events, HORIZON) == []
+    assert extract_response_events(EventTable.from_events(events), HORIZON) == []
 
 
 def test_reply_after_censoring_starts_fresh_run():
@@ -61,7 +62,7 @@ def test_reply_after_censoring_starts_fresh_run():
         mk_event("a@x.com", ["b@x.com"], hours=16 * 24),
         mk_event("b@x.com", ["a@x.com"], hours=16 * 24 + 2),
     ]
-    runs = extract_response_events(events, HORIZON)
+    runs = extract_response_events(EventTable.from_events(events), HORIZON)
     (r,) = [x for x in runs if x.requester == "a@x.com"]
     assert r.run_start == T0 + timedelta(hours=16 * 24)
     assert r.elapsed_hours == pytest.approx(2.0)
@@ -76,7 +77,7 @@ def test_same_second_reply_is_crossing_mail():
         mk_event("b@x.com", ["a@x.com"], hours=1),
         mk_event("b@x.com", ["a@x.com"], hours=2),
     ]
-    (r,) = extract_response_events(events)
+    (r,) = extract_response_events(EventTable.from_events(events))
     assert r.response_at == T0 + timedelta(hours=2)
     assert r.nudges == 1
 
@@ -86,7 +87,7 @@ def test_recipient_anywhere_in_list_counts():
         mk_event("a@x.com", ["b@x.com"], hours=0),
         mk_event("b@x.com", [("c@x.com", 1.0), ("a@x.com", 0.5)], hours=3),
     ]
-    (r,) = extract_response_events(events)
+    (r,) = extract_response_events(EventTable.from_events(events))
     assert r.elapsed_hours == pytest.approx(3.0)
 
 
@@ -97,7 +98,7 @@ def test_both_directions_tracked_independently():
         mk_event("a@x.com", ["b@x.com"], hours=5),    # closes b->a, opens a->b
         mk_event("b@x.com", ["a@x.com"], hours=6),    # closes a->b
     ]
-    runs = extract_response_events(events)
+    runs = extract_response_events(EventTable.from_events(events))
     assert len(runs) == 3
     elapsed = sorted(r.elapsed_hours for r in runs)
     assert elapsed == pytest.approx([1.0, 2.0, 3.0])
@@ -127,7 +128,7 @@ def test_fuzzed_pairwise_timelines_match_oracle():
                 b_times.append(T0 + timedelta(hours=stamp_hours))
                 events.append(mk_event("b@x.com", ["a@x.com"], hours=stamp_hours,
                                        message_id=f"<{trial}-{len(events)}>"))
-        got = extract_response_events(events, horizon)
+        got = extract_response_events(EventTable.from_events(events), horizon)
         expected = brute_response_runs(a_times, b_times, horizon) + [
             # symmetric direction: b requests, a responds
             run for run in brute_response_runs(b_times, a_times, horizon)
@@ -166,10 +167,10 @@ def test_one_pass_matches_pairwise_merge(events, horizon_hours):
 
     horizon = timedelta(hours=horizon_hours)
     expected = pairwise_response_events(events, horizon)
-    assert extract_response_events(events, horizon) == expected
-    assert extract_response_events(events[::-1], horizon) == expected
+    assert extract_response_events(EventTable.from_events(events), horizon) == expected
+    assert extract_response_events(EventTable.from_events(events[::-1]), horizon) == expected
     assert extract_response_events(
-        sorted(events, key=lambda e: e.timestamp), horizon
+        EventTable.from_events(sorted(events, key=lambda e: e.timestamp)), horizon
     ) == expected
 
 
@@ -179,7 +180,7 @@ def test_same_second_request_and_reply_in_either_order():
     crossing = mk_event("b@x.com", ["a@x.com"], hours=1, message_id="<r1>")
     reply = mk_event("b@x.com", ["a@x.com"], hours=2, message_id="<r2>")
     for middle in ([nudge, crossing], [crossing, nudge]):
-        (r,) = extract_response_events([request, *middle, reply])
+        (r,) = extract_response_events(EventTable.from_events([request, *middle, reply]))
         assert (r.run_last, r.response_at, r.nudges) == (
             nudge.timestamp, reply.timestamp, 2
         )

@@ -29,6 +29,7 @@ from orgsignals.signals import (
     SIGNAL_DIMENSIONS,
     SignalRecord,
 )
+from orgsignals.table import EventTable
 
 from conftest import T0, mk_event
 from oracles import brute_oscillations
@@ -67,7 +68,7 @@ def test_ci_antisymmetric(sent, received):
 def test_balanced_contribution_two_extremes():
     # a sends, b only receives: CI +1 and -1, population variance 1
     events = [mk_event("a@x.com", ["b@x.com"], hours=i) for i in range(3)]
-    assert balanced_contribution(events) == pytest.approx(1.0)
+    assert balanced_contribution(EventTable.from_events(events)) == pytest.approx(1.0)
 
 
 def test_balanced_contribution_all_zero():
@@ -75,7 +76,7 @@ def test_balanced_contribution_all_zero():
         mk_event("a@x.com", ["b@x.com"], hours=0),
         mk_event("b@x.com", ["a@x.com"], hours=1),
     ]
-    assert balanced_contribution(events) == pytest.approx(0.0)
+    assert balanced_contribution(EventTable.from_events(events)) == pytest.approx(0.0)
 
 
 def test_balanced_contribution_three_values_derived():
@@ -93,7 +94,7 @@ def test_balanced_contribution_three_values_derived():
     values = [-0.5, 0.0, 1 / 3]
     mean = sum(values) / 3
     expected = sum((v - mean) ** 2 for v in values) / 3
-    assert balanced_contribution(events) == pytest.approx(expected)
+    assert balanced_contribution(EventTable.from_events(events)) == pytest.approx(expected)
 
 
 def test_balanced_contribution_variance_of_plus_minus_one_and_zero():
@@ -108,12 +109,14 @@ def test_balanced_contribution_variance_of_plus_minus_one_and_zero():
     cis = [contribution_index(1, 0), contribution_index(1, 1), contribution_index(0, 1)]
     mean = sum(cis) / 3
     assert sum((v - mean) ** 2 for v in cis) / 3 == pytest.approx(2 / 3)
-    assert balanced_contribution(events, actors={"a@x.com", "b@x.com"}) == pytest.approx(0.25)
+    table = EventTable.from_events(events)
+    assert balanced_contribution(table, actors={"a@x.com", "b@x.com"}) == pytest.approx(0.25)
 
 
 def test_balanced_contribution_insufficient():
     with pytest.raises(ValueError, match="insufficient actors"):
-        balanced_contribution([mk_event("a@x.com", ["b@x.com"])], actors={"a@x.com"})
+        balanced_contribution(EventTable.from_events([mk_event("a@x.com", ["b@x.com"])]),
+                              actors={"a@x.com"})
 
 
 def test_balanced_contribution_invariant_under_direction_flip():
@@ -127,7 +130,8 @@ def test_balanced_contribution_invariant_under_direction_flip():
         mk_event(e.recipients[0][0], [e.sender], hours=i)
         for i, e in enumerate(events)
     ]
-    assert balanced_contribution(events) == pytest.approx(balanced_contribution(flipped))
+    assert balanced_contribution(EventTable.from_events(events)) == pytest.approx(
+        balanced_contribution(EventTable.from_events(flipped)))
 
 
 def test_balanced_contribution_relabel_invariant():
@@ -144,7 +148,8 @@ def test_balanced_contribution_relabel_invariant():
                  hours=i)
         for i, e in enumerate(events)
     ]
-    assert balanced_contribution(events) == pytest.approx(balanced_contribution(swapped))
+    assert balanced_contribution(EventTable.from_events(events)) == pytest.approx(
+        balanced_contribution(EventTable.from_events(swapped)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +252,7 @@ def test_honest_sentiment_two_messages():
         mk_event("b@x.com", ["a@x.com"], hours=1,
                  tokens=["great", "ok", "ok", "ok"]),                 # 0.25
     ]
-    assert honest_sentiment(events, LEX) == pytest.approx(0.25)
+    assert honest_sentiment(EventTable.from_events(events), LEX) == pytest.approx(0.25)
 
 
 def test_honest_sentiment_identical_messages():
@@ -255,7 +260,7 @@ def test_honest_sentiment_identical_messages():
         mk_event("a@x.com", ["b@x.com"], hours=i, tokens=["great", "plan"])
         for i in range(4)
     ]
-    assert honest_sentiment(events, LEX) == pytest.approx(0.0)
+    assert honest_sentiment(EventTable.from_events(events), LEX) == pytest.approx(0.0)
 
 
 def test_honest_sentiment_half_split():
@@ -263,7 +268,7 @@ def test_honest_sentiment_half_split():
     events = [
         mk_event("a@x.com", ["b@x.com"], hours=i, tokens=tokens[i]) for i in range(4)
     ]
-    assert honest_sentiment(events, LEX) == pytest.approx(0.5)
+    assert honest_sentiment(EventTable.from_events(events), LEX) == pytest.approx(0.5)
 
 
 def test_honest_sentiment_reorder_invariant():
@@ -271,14 +276,15 @@ def test_honest_sentiment_reorder_invariant():
         mk_event("a@x.com", ["b@x.com"], hours=i, tokens=t)
         for i, t in enumerate([["great"], ["plan", "x1"], ["terrible", "great"], ["meh", "meh"]])
     ]
-    assert honest_sentiment(events, LEX) == pytest.approx(
-        honest_sentiment(events[::-1], LEX)
+    assert honest_sentiment(EventTable.from_events(events), LEX) == pytest.approx(
+        honest_sentiment(EventTable.from_events(events[::-1]), LEX)
     )
 
 
 def test_honest_sentiment_insufficient():
     with pytest.raises(ValueError, match="insufficient messages"):
-        honest_sentiment([mk_event("a@x.com", ["b@x.com"], tokens=["hi", "there"])], LEX)
+        honest_sentiment(
+            EventTable.from_events([mk_event("a@x.com", ["b@x.com"], tokens=["hi", "there"])]), LEX)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +383,7 @@ def week_cfg():
 def test_compute_record_static_star():
     events = star_round_events(35, reply_hours=4)
     period = (T0, T0 + timedelta(days=35))
-    record = compute_signal_record("u", period, events, week_cfg(), LEX,
+    record = compute_signal_record("u", period, EventTable.from_events(events), week_cfg(), LEX,
                                    response_horizon=timedelta(hours=8))
     assert record.central_leadership == pytest.approx(1.0, abs=1e-9)
     assert record.rotating_leadership == pytest.approx(0.0)
@@ -399,8 +405,8 @@ def test_compute_record_alternating_star():
                 events.append(mk_event(hub, [other], hours=day * 24,
                                        message_id=f"<{day}-{other}>", tokens=["x7", "y7"]))
     period = (T0, T0 + timedelta(days=35))
-    record = compute_signal_record("u", period, sorted(events, key=lambda e: e.timestamp),
-                                   week_cfg(), LEX, members=set(hubs))
+    table = EventTable.from_events(sorted(events, key=lambda e: e.timestamp))
+    record = compute_signal_record("u", period, table, week_cfg(), LEX, members=set(hubs))
     assert record.rotating_leadership == pytest.approx(1.0)
     assert record.central_leadership == pytest.approx(1.0)
 
@@ -408,7 +414,7 @@ def test_compute_record_alternating_star():
 def test_compute_record_single_message_mostly_missing():
     events = [mk_event("a@x.com", ["b@x.com"], hours=1, tokens=["hello", "world"])]
     period = (T0, T0 + timedelta(days=35))
-    record = compute_signal_record("u", period, events, week_cfg(), LEX)
+    record = compute_signal_record("u", period, EventTable.from_events(events), week_cfg(), LEX)
     assert record.central_leadership is None
     assert record.balanced_contribution is not None  # two active actors (a, b)
     assert record.avg_response_time_hours is None
@@ -419,7 +425,8 @@ def test_compute_record_single_message_mostly_missing():
 
 def test_compute_record_no_events_raises():
     with pytest.raises(ValueError, match="no events"):
-        compute_signal_record("u", (T0, T0 + timedelta(days=7)), [], week_cfg(), LEX)
+        compute_signal_record("u", (T0, T0 + timedelta(days=7)), EventTable.from_events([]),
+                              week_cfg(), LEX)
 
 
 def test_dimension_tags():

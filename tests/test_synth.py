@@ -18,6 +18,7 @@ from orgsignals.synth import (
     reference_dictionary,
     write_bundle,
 )
+from orgsignals.table import EventTable
 
 
 def spec_dict(**overrides):
@@ -51,7 +52,7 @@ def analyze_scenario(data):
     record = compute_signal_record(
         UNIT_NAME,
         (CORPUS_START, CORPUS_START + timedelta(days=spec.duration_days)),
-        stream, cfg, lexicon, members=members,
+        EventTable.from_events(stream), cfg, lexicon, members=members,
         response_horizon=timedelta(hours=analysis["response_horizon_hours"]),
     )
     return record, sidecar

@@ -14,7 +14,6 @@ from orgsignals.graph import TimeWindowConfig, WindowedGraph, build_windows
 from orgsignals.ingest import (
     EVENT_CSV_COLUMNS,
     EventSchemaError,
-    EventTable,
     MessageEvent,
     read_event_csv,
     write_event_csv,
@@ -28,6 +27,7 @@ from orgsignals.signals import (
     honest_sentiment,
     token_counts,
 )
+from orgsignals.table import EventTable
 
 from conftest import T0, mk_event
 from oracles import (
@@ -88,16 +88,33 @@ def test_columnar_stages_match_event_walks(events, length, step):
         hand_built = WindowedGraph(0, T0, T0, nodes, edges)
         for csr in (g.csr, hand_built.adjacency()):
             assert np.array_equal(csr[0], want[0]) and np.array_equal(csr[1], want[1])
-    assert _window_ci_vectors(ordered, graphs) == [
+    assert _window_ci_vectors(EventTable.from_events(ordered), graphs) == [
         {a: contribution_index(s, r) for a, (s, r) in loop_actor_activity(
             [e for e in ordered if g.window_start <= e.timestamp < g.window_end]).items()}
         for g in graphs
     ]
 
-    assert actor_activity(events) == loop_actor_activity(events)
-    assert token_counts(events) == loop_token_counts(events)
-    assert outcome(honest_sentiment, events, LEX) == outcome(loop_honest_sentiment, events, LEX)
-    assert outcome(balanced_contribution, events) == outcome(loop_balanced_contribution, events)
+    table = EventTable.from_events(events)
+    assert actor_activity(table) == loop_actor_activity(events)
+    assert token_counts(table) == loop_token_counts(events)
+    assert outcome(honest_sentiment, table, LEX) == outcome(loop_honest_sentiment, events, LEX)
+    assert outcome(balanced_contribution, table) == outcome(loop_balanced_contribution, events)
+
+
+@given(event_lists())
+@settings(max_examples=50, deadline=None)
+def test_windows_of_an_event_list_are_those_of_its_table(events):
+    # perfbench/checks.py passes build_windows a MessageEvent list
+    ordered = sorted(events, key=lambda e: e.timestamp)
+    cfg = TimeWindowConfig(timedelta(hours=12), timedelta(hours=6), T0,
+                           T0 + timedelta(hours=70))
+    got = build_windows(ordered, cfg)
+    want = build_windows(EventTable.from_events(ordered), cfg)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.window_index, g.window_start, g.window_end, g.nodes, dict(g.edges)) == (
+            w.window_index, w.window_start, w.window_end, w.nodes, dict(w.edges))
+        assert all(np.array_equal(a, b) for a, b in zip(g.csr, w.csr))
 
 
 def outcome(stage, *args):
