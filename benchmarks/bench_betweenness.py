@@ -11,9 +11,10 @@ three, on three graphs:
 - `deg2`: the same at mean degree ~2, sparse and many levels deep;
 - `path`: a path over all n nodes, the deepest graph there is.
 
-The kernel does two sparse products per BFS level for a whole block of
-sources, so its cost grows with the depth of the graph: the deep cases
-show how much.  Blocks run one after another on one thread.
+The kernel does a sparse product per BFS level in each direction for a
+whole block of sources, so its cost grows with the depth of the graph:
+the deep cases show how much.  Blocks run one after another on one
+thread.
 """
 
 import argparse

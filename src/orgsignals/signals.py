@@ -8,11 +8,11 @@ than a fake zero when its inputs are insufficient.
 
 Each stage takes an `orgsignals.table.EventTable` and counts on its
 columns: `np.bincount` over actor and word ids, `np.add.reduceat` over
-each message's tokens, and one pass over integer actor-pair keys for
-the reply runs.  Every float that reaches a signal gets the same
-operations as in a walk over event objects (integer counts, exactly
-rounded `fsum`, `(v - mean) ** 2` on Python floats), so the values do
-not depend on the layout.
+each message's tokens, and one `np.lexsort` by integer actor-pair key
+and stamp for the reply runs.  Every float that reaches a signal gets
+the same operations as in a walk over event objects (integer counts,
+exactly rounded `fsum`, `(v - mean) ** 2` on Python floats), so the
+values do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -246,46 +246,59 @@ def extract_response_events(
     otherwise the run is censored and dropped, as are runs never closed.
     Same-second replies are treated as crossing mail and ignored.
 
-    One pass in time order keeps the open run of each pair.  Within one
-    timestamp every message first acts as a request, then as a reply, so
-    a reply never closes a run whose last request has the same timestamp.
-    Pairs are keyed sender * A + recipient over actor ids, and times are
-    epoch microseconds.
+    All request and reply entries are sorted at once by (pair, stamp,
+    requests before replies); a pair's requests since its last close then
+    sit together ahead of the reply that closes them.  Pairs are keyed
+    requester * A + responder over actor ids, and times are epoch
+    microseconds.
     """
-    table = table.time_sorted()
     k = len(table.actors)
     horizon = max_response_horizon // timedelta(microseconds=1)
     src = table.recipient_senders().astype(np.int64)
     dst = table.recipient_ids.astype(np.int64)
     stamps = np.repeat(table.stamp_us, np.diff(table.recipient_indptr))
-    requests, replies = (src * k + dst).tolist(), (dst * k + src).tolist()
-    # the first entry of each timestamp, then the end
-    cuts = [*np.flatnonzero(np.diff(stamps, prepend=stamps[:1] - 1)).tolist(), len(stamps)]
-    stamps = stamps.tolist()
+    # each entry is a request in the pair (sender, recipient) and a reply
+    # in the pair (recipient, sender)
+    size = 2 * len(stamps)
+    pair = np.concatenate([src * k + dst, dst * k + src])
+    stamp = np.concatenate([stamps, stamps])
+    is_reply = np.arange(size) >= len(stamps)
+    order = np.lexsort((is_reply, stamp, pair))
+    pair, stamp, is_reply = pair[order], stamp[order], is_reply[order]
+    is_request = ~is_reply
 
-    open_runs: dict[int, list] = {}  # pair -> [run start, last request, nudges]
-    closed = []
-    for first, last in zip(cuts, cuts[1:]):
-        stamp = stamps[first]
-        for pair in requests[first:last]:
-            run = open_runs.get(pair)
-            if run is None:
-                open_runs[pair] = [stamp, stamp, 1]
-            else:
-                run[1] = stamp
-                run[2] += 1
-        for pair in replies[first:last]:
-            run = open_runs.get(pair)
-            if run is not None and stamp > run[1]:
-                del open_runs[pair]
-                if stamp - run[0] <= horizon:
-                    closed.append((run[0], *divmod(pair, k), run[1], stamp, run[2]))
-    closed.sort()  # actor ids are ranks, so this is (run_start, requester, responder) order
+    position = np.arange(size)
+    starts = np.ones(size, dtype=bool)  # the first entry of each pair
+    np.not_equal(pair[1:], pair[:-1], out=starts[1:])
+    # the last request at or before each entry, if it is of the same pair
+    last_request = np.maximum.accumulate(np.where(is_request, position, -1))
+    has_request = last_request >= np.maximum.accumulate(np.where(starts, position, 0))
+    # A reply later than its pair's last request closes the open run, if
+    # no such reply came before it.
+    later = is_reply & has_request
+    later[later] = stamp[later] > stamp[last_request[later]]
+    closes = later.copy()
+    closes[1:] &= ~later[:-1]
+    # a run holds the requests since its pair's first entry or last close
+    starts[1:] |= closes[:-1]
+    close = np.flatnonzero(closes)
+    run_from = np.maximum.accumulate(np.where(starts, position, 0))[close]
+    requests_before = np.cumsum(is_request) - is_request
+    first = np.flatnonzero(is_request)[requests_before[run_from]]
+    last = last_request[close]
+    nudges = requests_before[close] - requests_before[run_from]
+
+    kept = np.flatnonzero(stamp[close] - stamp[first] <= horizon)
+    # actor ids are ranks, so this is (run_start, requester, responder) order
+    kept = kept[np.lexsort((pair[close[kept]], stamp[first[kept]]))]
+    close, first, last, nudges = close[kept], first[kept], last[kept], nudges[kept]
     actors = table.actors
     return [
-        ResponseEvent(actors[requester], actors[responder], stamp_datetime(start),
-                      stamp_datetime(last), stamp_datetime(response_at), nudges)
-        for start, requester, responder, last, response_at, nudges in closed
+        ResponseEvent(actors[key // k], actors[key % k], stamp_datetime(start),
+                      stamp_datetime(last_at), stamp_datetime(response_at), count)
+        for key, start, last_at, response_at, count in zip(
+            pair[close].tolist(), stamp[first].tolist(), stamp[last].tolist(),
+            stamp[close].tolist(), nudges.tolist())
     ]
 
 

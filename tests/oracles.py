@@ -10,6 +10,10 @@ event objects one at a time, the event CSV reader by parsing each
 row into a MessageEvent and validating it, a mail's body by the
 standard library's full MIME parse, and a mail's header block by the
 standard library's headers-only parse.
+
+Two references are earlier forms of the library's own code, for tests
+that ask for the same output bit for bit: the Brandes kernel with every
+block in float64, and the reply runs as one walk in time order.
 """
 
 import csv
@@ -17,13 +21,15 @@ import email
 import math
 from bisect import bisect_left
 from collections import Counter, defaultdict, deque
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from email.parser import BytesParser
 from fractions import Fraction
 from itertools import chain
 
 import numpy as np
+from scipy import sparse
 
+from orgsignals._betweenness_py import SOURCE_BLOCK
 from orgsignals.ingest import (
     EVENT_CSV_COLUMNS,
     EventSchemaError,
@@ -31,7 +37,7 @@ from orgsignals.ingest import (
     _html_to_text,
 )
 from orgsignals.signals import ResponseEvent
-from orgsignals.table import EventTable
+from orgsignals.table import EventTable, stamp_datetime
 
 
 def brute_betweenness(n: int, edges: set[tuple[int, int]]) -> list[Fraction]:
@@ -108,6 +114,66 @@ def loop_brandes(n: int, edges: set[tuple[int, int]]) -> list[float]:
     return scores
 
 
+def float64_brandes_accumulate(indptr, indices, n: int) -> np.ndarray:
+    """`_betweenness_py.brandes_accumulate` with every block in float64.
+
+    The same block-synchronous Brandes, block order and float operations,
+    with each level of the forward sweep a sparse product of the float64
+    adjacency, and the sweep ending on a level that reaches nothing new.
+    The kernel counts its paths in float32 below 2**24, and must match
+    this bit for bit.
+    """
+    adjacency = sparse.csr_array(
+        (np.ones(len(indices), dtype=np.float64), indices, indptr), shape=(n, n)
+    )
+    scores = _float64_block_dependencies(adjacency, 0, n, SOURCE_BLOCK)
+    for first in range(SOURCE_BLOCK, n, SOURCE_BLOCK):
+        scores += _float64_block_dependencies(adjacency, first, n, SOURCE_BLOCK)
+    return scores
+
+
+def _float64_block_dependencies(adjacency, first: int, n: int, block: int) -> np.ndarray:
+    width = min(block, n - first)
+    columns = np.arange(width)
+    shape = (n, width)
+    dist = np.zeros(shape, dtype=np.int32)
+    unreached = np.ones(shape, dtype=bool)
+    unreached[columns + first, columns] = False
+    frontier = np.zeros(shape, dtype=np.float64)
+    frontier[columns + first, columns] = 1.0
+    sigma = frontier.copy()
+
+    fresh = np.empty(shape, dtype=bool)
+    depth = 0
+    while True:
+        frontier = adjacency @ frontier
+        np.greater(frontier, 0.0, out=fresh)
+        fresh &= unreached
+        dist += unreached
+        if not fresh.any():
+            break
+        depth += 1
+        frontier *= fresh
+        sigma += frontier
+        unreached ^= fresh
+
+    sigma += unreached
+    delta = np.zeros(shape, dtype=np.float64)
+    level = fresh
+    np.equal(dist, depth, out=level)
+    work = frontier
+    for d in range(depth, 1, -1):
+        np.add(delta, 1.0, out=work)
+        work /= sigma
+        work *= level
+        work = adjacency @ work
+        np.equal(dist, d - 1, out=level)
+        work *= sigma
+        work *= level
+        delta += work
+    return delta.sum(axis=1)
+
+
 def brute_oscillations(series: list[float]) -> int:
     """Strict local extrema of the plateau-compressed series."""
     compressed = [series[0]]
@@ -172,6 +238,51 @@ def pairwise_response_events(events, horizon) -> list[ResponseEvent]:
                 run_start, run_last, nudges = None, None, 0
     out.sort(key=lambda r: (r.run_start, r.requester, r.responder))
     return out
+
+
+def loop_response_events(table: EventTable, max_response_horizon) -> list[ResponseEvent]:
+    """`signals.extract_response_events` as one walk over the recipient
+    entries in time order, holding the open run of each actor pair.
+
+    Within one timestamp every entry first acts as a request, then as a
+    reply, so a reply never closes a run whose last request has the same
+    timestamp.  Pairs are keyed sender * A + recipient over actor ids.
+    """
+    table = table.time_sorted()
+    k = len(table.actors)
+    horizon = max_response_horizon // timedelta(microseconds=1)
+    src = table.recipient_senders().astype(np.int64)
+    dst = table.recipient_ids.astype(np.int64)
+    stamps = np.repeat(table.stamp_us, np.diff(table.recipient_indptr))
+    requests, replies = (src * k + dst).tolist(), (dst * k + src).tolist()
+    # the first entry of each timestamp, then the end
+    cuts = [*np.flatnonzero(np.diff(stamps, prepend=stamps[:1] - 1)).tolist(), len(stamps)]
+    stamps = stamps.tolist()
+
+    open_runs: dict[int, list] = {}  # pair -> [run start, last request, nudges]
+    closed = []
+    for first, last in zip(cuts, cuts[1:]):
+        stamp = stamps[first]
+        for pair in requests[first:last]:
+            run = open_runs.get(pair)
+            if run is None:
+                open_runs[pair] = [stamp, stamp, 1]
+            else:
+                run[1] = stamp
+                run[2] += 1
+        for pair in replies[first:last]:
+            run = open_runs.get(pair)
+            if run is not None and stamp > run[1]:
+                del open_runs[pair]
+                if stamp - run[0] <= horizon:
+                    closed.append((run[0], *divmod(pair, k), run[1], stamp, run[2]))
+    closed.sort()  # actor ids are ranks, so this is (run_start, requester, responder) order
+    actors = table.actors
+    return [
+        ResponseEvent(actors[requester], actors[responder], stamp_datetime(start),
+                      stamp_datetime(last), stamp_datetime(response_at), nudges)
+        for start, requester, responder, last, response_at, nudges in closed
+    ]
 
 
 def normal_equations_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:

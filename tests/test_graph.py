@@ -1,10 +1,12 @@
 """Window construction, centralities, and Freeman centralization."""
 
 import random
+import warnings
 from datetime import timedelta
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orgsignals import _betweenness_py, graph
@@ -21,7 +23,7 @@ from orgsignals.graph import (
 )
 
 from conftest import T0, mk_event
-from oracles import brute_betweenness, loop_brandes
+from oracles import brute_betweenness, float64_brandes_accumulate, loop_brandes
 
 # There is one kernel; the parameter keeps the ids of the kernel tests stable.
 each_kernel = pytest.mark.parametrize(
@@ -302,6 +304,80 @@ def test_kernel_matches_loop_brandes_across_several_blocks():
     scores = kernel_scores(_betweenness_py.brandes_accumulate, n, edges)
     assert scores == pytest.approx(loop_brandes(n, edges), rel=1e-12, abs=1e-12)
     assert all(scores[v] == 0.0 for v in isolated)
+
+
+def adjacency_of(n, edges):
+    g, _ = make_graph(n, edges)
+    return (*g.adjacency(), n)
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """n from 3 to 3 * SOURCE_BLOCK + 5 nodes in random order: a path, a
+    run of isolated nodes, and a random part that may fall apart."""
+    n = draw(st.integers(3, 3 * _betweenness_py.SOURCE_BLOCK + 5))
+    path = draw(st.integers(0, n))
+    isolated = draw(st.integers(0, n - path))
+    mean_degree = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    order = list(range(n))
+    rng.shuffle(order)
+    rest = order[path + isolated:]
+    edges = set(zip(order[:path], order[1:path]))
+    edges |= {
+        (a, b) for i, a in enumerate(rest) for b in rest[i + 1:]
+        if rng.random() < mean_degree / len(rest)
+    }
+    return n, edges
+
+
+@given(shuffled_graphs())
+@example((3 * _betweenness_py.SOURCE_BLOCK + 5,
+          {(i, i + 1) for i in range(3 * _betweenness_py.SOURCE_BLOCK + 4)}))
+@settings(max_examples=40, deadline=None)
+def test_kernel_is_bit_identical_to_float64_blocks(graph_and_edges):
+    # path counts in float32 below 2**24, level 1 from the adjacency's
+    # rows, and no product after the last node is reached: the same bits
+    n, edges = graph_and_edges
+    indptr, indices, n = adjacency_of(n, edges)
+    assert np.array_equal(_betweenness_py.brandes_accumulate(indptr, indices, n),
+                          float64_brandes_accumulate(indptr, indices, n))
+
+
+def layered_edges(layers, width=3):
+    """Layers of `width` nodes, each joined to the next in full: from a
+    node of the first layer, width ** (layers - 2) shortest paths reach
+    each node of the last."""
+    return {
+        (layer * width + a, (layer + 1) * width + b)
+        for layer in range(layers - 1) for a in range(width) for b in range(width)
+    }
+
+
+def one_past_2_24_paths():
+    """2**24 + 1 shortest paths from node 0 to node 49: 2**24 through 24
+    layers of 2 nodes (1 .. 48), and one more along the path 50 .. 73."""
+    edges = {(0, 1), (0, 2), (47, 49), (48, 49)}
+    edges |= {(a + 1, b + 1) for a, b in layered_edges(24, width=2)}
+    path = [0, *range(50, 74), 49]
+    edges |= set(zip(path, path[1:]))
+    return 74, edges
+
+
+@pytest.mark.parametrize("n,edges", [
+    one_past_2_24_paths(),
+    (3 * 18, layered_edges(18)),
+    (3 * 90, layered_edges(90)),
+], ids=["2**24+1", "3**16", "3**88"])
+def test_kernel_counts_past_float32_exactness_in_float64(n, edges):
+    # 2**24 + 1 rounds to 2**24 in float32, 3**16 is past 2**24, and 3**88
+    # past float32's range; an inf or NaN would raise as a RuntimeWarning
+    indptr, indices, n = adjacency_of(n, edges)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = _betweenness_py.brandes_accumulate(indptr, indices, n)
+    assert list(scores) == pytest.approx(loop_brandes(n, edges), rel=1e-12, abs=1e-12)
+    assert np.array_equal(scores, float64_brandes_accumulate(indptr, indices, n))
 
 
 def test_betweenness_values_in_unit_interval_fuzz():

@@ -174,6 +174,31 @@ def test_one_pass_matches_pairwise_merge(events, horizon_hours):
     ) == expected
 
 
+@st.composite
+def crowded_table(draw):
+    """3 to 6 actors; rows with up to five recipients, repeats among them,
+    in no particular order, and many rows on each of a few stamps."""
+    actors = [f"{name}@x.com" for name in "abcdef"[:draw(st.integers(3, 6))]]
+    events = []
+    for i in range(draw(st.integers(0, 60))):
+        sender = draw(st.sampled_from(actors))
+        others = [a for a in actors if a != sender]
+        recipients = draw(st.lists(st.sampled_from(others), min_size=1, max_size=5))
+        events.append(mk_event(sender, recipients, hours=draw(st.integers(0, 16)) * 3,
+                               message_id=f"<crowd{i}>"))
+    return EventTable.from_events(events)
+
+
+@given(crowded_table(), st.one_of(st.integers(0, 60), st.just(10_000)))
+@settings(max_examples=200, deadline=None)
+def test_one_sort_matches_time_ordered_walk(table, horizon_hours):
+    # horizons from 0, which keeps no run, to past the 48 hours of stamps
+    from oracles import loop_response_events
+
+    horizon = timedelta(hours=horizon_hours)
+    assert extract_response_events(table, horizon) == loop_response_events(table, horizon)
+
+
 def test_same_second_request_and_reply_in_either_order():
     request = mk_event("a@x.com", ["b@x.com"], hours=0, message_id="<q0>")
     nudge = mk_event("a@x.com", ["b@x.com"], hours=1, message_id="<q1>")

@@ -394,21 +394,39 @@ def test_compute_record_static_star():
     assert record.honest_sentiment == pytest.approx(0.25)
 
 
-def test_compute_record_alternating_star():
+HUBS = ["h0@x.com", "h1@x.com"]
+
+
+def alternating_hubs_table():
+    """Five weeks in which the two hubs take turns, a week each, to mail
+    everyone else daily."""
     events = []
-    hubs = ["h0@x.com", "h1@x.com"]
-    others = hubs + ["l0@x.com", "l1@x.com"]
+    others = HUBS + ["l0@x.com", "l1@x.com"]
     for day in range(35):
-        hub = hubs[(day // 7) % 2]
+        hub = HUBS[(day // 7) % 2]
         for other in others:
             if other != hub:
                 events.append(mk_event(hub, [other], hours=day * 24,
                                        message_id=f"<{day}-{other}>", tokens=["x7", "y7"]))
+    return EventTable.from_events(sorted(events, key=lambda e: e.timestamp))
+
+
+def test_compute_record_alternating_star():
     period = (T0, T0 + timedelta(days=35))
-    table = EventTable.from_events(sorted(events, key=lambda e: e.timestamp))
-    record = compute_signal_record("u", period, table, week_cfg(), LEX, members=set(hubs))
+    record = compute_signal_record("u", period, alternating_hubs_table(), week_cfg(), LEX,
+                                   members=set(HUBS))
     assert record.rotating_leadership == pytest.approx(1.0)
     assert record.central_leadership == pytest.approx(1.0)
+
+
+def test_compute_record_rotation_divides_by_the_members_seen():
+    # the roster's third member sends and receives nothing, so the two
+    # hubs' full rate is not diluted to 2/3
+    period = (T0, T0 + timedelta(days=35))
+    record = compute_signal_record("u", period, alternating_hubs_table(), week_cfg(), LEX,
+                                   members={*HUBS, "absent@x.com"})
+    assert record.rotating_leadership == pytest.approx(1.0)
+    assert record.rotating_leadership_ci == pytest.approx(1.0)
 
 
 def test_compute_record_single_message_mostly_missing():
