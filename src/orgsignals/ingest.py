@@ -13,8 +13,9 @@ per usable CPU.  Events round-trip through a canonical CSV so later
 pipeline stages never re-parse mail.
 
 `read_event_csv` reads that CSV into an `orgsignals.table.EventTable`,
-checking each row once; the first fault names its row and column.  Only
-it imports numpy (through `table`), so the pool workers never load numpy.
+checking each row once; the first fault names its row and column.  The
+table keeps no message id, reply link or subject.  Only the reader
+imports numpy (through `table`), so the pool workers never load numpy.
 """
 
 from __future__ import annotations
@@ -701,7 +702,9 @@ def read_event_csv(path: str | Path) -> EventTable:
     An address already in the table skips its form check, and each
     distinct recipients cell is checked once and kept as its actor ids
     and weights: a later row with that cell checks only that its sender
-    is not among them.
+    is not among them.  A row's message id must not be empty, but the
+    message id, reply link and subject are not kept: no analyze stage
+    reads them.
     """
     from .table import _EPOCH, _MICROSECOND, _TableBuilder  # here: pool workers load no numpy
     table = _TableBuilder()
@@ -712,11 +715,7 @@ def read_event_csv(path: str | Path) -> EventTable:
     add_recipient_ids, add_weights = recipient_ids.extend, table.recipient_weights.extend
     end_recipients, end_tokens = table.recipient_indptr.append, table.token_indptr.append
     add_tokens = token_ids.extend
-    add_message_id, add_reply = table.message_id.append, table.in_reply_to.append
-    add_subject = table.subject_key.append
     recipient_lists: dict[str, tuple[list[int], list[float]]] = {}
-    subjects: dict[str, str] = {}
-    share = subjects.setdefault
     fromisoformat, utc = datetime.fromisoformat, timezone.utc
     n_columns = len(EVENT_CSV_COLUMNS)
 
@@ -747,7 +746,7 @@ def read_event_csv(path: str | Path) -> EventTable:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != n_columns:
                 raise EventSchemaError(f"row {lineno}, column count: got {len(row)} fields")
-            msg_id, stamp_raw, sender, recips_raw, reply_raw, subject, tokens_raw = row
+            msg_id, stamp_raw, sender, recips_raw, _, _, tokens_raw = row
             try:
                 stamp = fromisoformat(stamp_raw.replace("Z", "+00:00"))
                 if stamp.tzinfo is not None:
@@ -782,9 +781,6 @@ def read_event_csv(path: str | Path) -> EventTable:
             end_recipients(len(recipient_ids))
             add_tokens(map(word_id, tokens_raw.split()))
             end_tokens(len(token_ids))
-            add_message_id(msg_id)
-            add_reply(reply_raw or None)
-            add_subject(share(subject, subject))
     return table.finish()
 
 

@@ -7,12 +7,13 @@ innovative_language).  Every metric degrades to "missing" (None) rather
 than a fake zero when its inputs are insufficient.
 
 Each stage takes an `orgsignals.table.EventTable` and counts on its
-columns: `np.bincount` over actor and word ids, `np.add.reduceat` over
-each message's tokens, and one `np.lexsort` by integer actor-pair key
-and stamp for the reply runs.  Every float that reaches a signal gets
-the same operations as in a walk over event objects (integer counts,
-exactly rounded `fsum`, `(v - mean) ** 2` on Python floats), so the
-values do not depend on the layout.
+columns: `np.bincount` over actor ids, and one `np.lexsort` by integer
+actor-pair key and stamp for the reply runs.  The token column is
+counted a fixed-size slice at a time, so no count copies the whole
+column at a wider integer type.  Every float that reaches a signal
+gets the same operations as in a walk over event objects (integer
+counts, exactly rounded `fsum`, `(v - mean) ** 2` on Python floats), so
+the values do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ SIGNALS_CSV_COLUMNS = [
 ]
 
 DEFAULT_RESPONSE_HORIZON = timedelta(days=14)
+
+# token ids counted per slice: bincount and fancy indexing copy their
+# int32 ids at 8 bytes each, so a slice bounds that copy at 512 KiB
+_TOKEN_SLICE = 1 << 16
+
+
+class PreconditionError(ValueError):
+    """A signal's inputs are too few to define it; its cell stays missing."""
 
 
 @dataclass(slots=True)
@@ -175,7 +184,7 @@ def balanced_contribution(table: EventTable, actors: set[str] | None = None) -> 
     s, r = sent[active], received[active]
     values = ((s - r) / (s + r)).tolist()
     if len(values) < 2:
-        raise ValueError("insufficient actors")
+        raise PreconditionError("insufficient actors")
     mean = math.fsum(values) / len(values)
     return math.fsum((v - mean) ** 2 for v in values) / len(values)
 
@@ -342,16 +351,36 @@ def _polarity(lexicon: LexiconConfig) -> dict[str, int]:
     return polarity
 
 
+def _token_slices(table: EventTable):
+    """(offset, ids) of consecutive slices of `token_ids`, each at most
+    `_TOKEN_SLICE` long."""
+    ids = table.token_ids
+    for lo in range(0, len(ids), _TOKEN_SLICE):
+        yield lo, ids[lo:lo + _TOKEN_SLICE]
+
+
 def honest_sentiment(table: EventTable, lexicon: LexiconConfig) -> float:
-    """Population standard deviation of per-message emotionality."""
+    """Population standard deviation of per-message emotionality.
+
+    A running count of emotional tokens is read off at each row
+    boundary; a row's count is the running count at its end less that
+    at its start.
+    """
     emotional = _id_mask(table.words, _polarity(lexicon)).view(np.int8)
     indptr = table.token_indptr
+    before = np.zeros(len(indptr), dtype=np.int64)  # emotional tokens before each boundary
+    counted = 0
+    for lo, ids in _token_slices(table):
+        running = np.cumsum(emotional.take(ids), dtype=np.int64)
+        # the boundaries in (lo, lo + len(ids)]
+        first, last = np.searchsorted(indptr, [lo, lo + len(ids)], side="right").tolist()
+        before[first:last] = running.take(indptr[first:last] - lo - 1) + counted
+        counted += int(running[-1])
     lengths = np.diff(indptr)
     messages = np.flatnonzero(lengths)
-    hits = np.add.reduceat(emotional[table.token_ids], indptr[messages], dtype=np.int64)
-    values = (hits / lengths[messages]).tolist()
+    values = (np.diff(before)[messages] / lengths[messages]).tolist()
     if len(values) < 2:
-        raise ValueError("insufficient messages")
+        raise PreconditionError("insufficient messages")
     mean = math.fsum(values) / len(values)
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
 
@@ -376,7 +405,9 @@ def jensen_shannon_divergence(p: dict[str, float], q: dict[str, float]) -> float
 
 def token_counts(table: EventTable) -> Counter[str]:
     """How often each word occurs in the tokens of the events."""
-    per_word = np.bincount(table.token_ids, minlength=len(table.words))
+    per_word = np.zeros(len(table.words), dtype=np.int64)
+    for _, ids in _token_slices(table):
+        per_word += np.bincount(ids, minlength=len(per_word))
     used = np.flatnonzero(per_word)
     return Counter(dict(zip([table.words[w] for w in used.tolist()], per_word[used].tolist())))
 
@@ -489,7 +520,7 @@ def compute_signal_record(
 
     try:
         record.balanced_contribution = balanced_contribution(events, members)
-    except ValueError:
+    except PreconditionError:
         pass
 
     # dynamics: oscillation rates need at least three window positions
@@ -513,7 +544,7 @@ def compute_signal_record(
 
     try:
         record.honest_sentiment = honest_sentiment(events, lexicon)
-    except ValueError:
+    except PreconditionError:
         pass
 
     counts = token_counts(events)

@@ -1,7 +1,10 @@
 """EventTable: the events as numpy columns, the one input of the analyze stages.
 
 `ingest.read_event_csv` fills a table from the event CSV, and
-`EventTable.from_events` and `to_events` convert MessageEvent lists.
+`EventTable.from_events` from a MessageEvent list.  A table keeps only
+what the analyze stages read: stamps, senders, recipients with their
+weights, and token ids.  The reader still checks every row's seven
+columns, but keeps no message id, reply link or subject.
 """
 
 from __future__ import annotations
@@ -64,9 +67,6 @@ class EventTable:
     token_ids: np.ndarray          # int32 word ids
     actors: list[str]
     words: list[str]
-    message_id: list[str]
-    in_reply_to: list[str | None]
-    subject_key: list[str]
 
     def __len__(self) -> int:
         return len(self.stamp_us)
@@ -78,25 +78,6 @@ class EventTable:
             table.add(event)
         return table.finish()
 
-    def to_events(self) -> list[MessageEvent]:
-        actors, words = self.actors, self.words
-        rec_ptr, rec_ids = self.recipient_indptr.tolist(), self.recipient_ids.tolist()
-        weights = self.recipient_weights.tolist()
-        tok_ptr, tok_ids = self.token_indptr.tolist(), self.token_ids.tolist()
-        events = []
-        for i, (us, sender) in enumerate(zip(self.stamp_us.tolist(), self.sender.tolist())):
-            lo, hi = rec_ptr[i], rec_ptr[i + 1]
-            events.append(MessageEvent(
-                message_id=self.message_id[i],
-                timestamp=stamp_datetime(us),
-                sender=actors[sender],
-                recipients=[(actors[a], w) for a, w in zip(rec_ids[lo:hi], weights[lo:hi])],
-                in_reply_to=self.in_reply_to[i],
-                subject_key=self.subject_key[i],
-                tokens=[words[t] for t in tok_ids[tok_ptr[i]:tok_ptr[i + 1]]],
-            ))
-        return events
-
     def take(self, rows: slice | np.ndarray) -> EventTable:
         """The given rows, in the order given: a slice (a view) or row indices."""
         if isinstance(rows, slice):
@@ -106,22 +87,15 @@ class EventTable:
             tok = self.token_indptr[lo:rows.stop + 1]
             rec_ptr, rec_pick = rec - rec[0], slice(rec[0], rec[-1])
             tok_ptr, tok_pick = tok - tok[0], slice(tok[0], tok[-1])
-            message_id = self.message_id[rows]
-            in_reply_to = self.in_reply_to[rows]
-            subject_key = self.subject_key[rows]
         else:
             rows = np.asarray(rows, dtype=np.intp)
             rec_ptr, rec_pick = _gather(self.recipient_indptr, rows)
             tok_ptr, tok_pick = _gather(self.token_indptr, rows)
-            pick = rows.tolist()
-            message_id = [self.message_id[i] for i in pick]
-            in_reply_to = [self.in_reply_to[i] for i in pick]
-            subject_key = [self.subject_key[i] for i in pick]
         return EventTable(
             self.stamp_us[rows], self.sender[rows],
             rec_ptr, self.recipient_ids[rec_pick], self.recipient_weights[rec_pick],
             tok_ptr, self.token_ids[tok_pick],
-            self.actors, self.words, message_id, in_reply_to, subject_key,
+            self.actors, self.words,
         )
 
     def time_sorted(self) -> EventTable:
@@ -148,9 +122,6 @@ class _TableBuilder:
         self.token_ids = array("i")
         self.actor_ids: dict[str, int] = {}  # in order of first sight until finish()
         self.word_ids: dict[str, int] = defaultdict(count().__next__)
-        self.message_id: list[str] = []
-        self.in_reply_to: list[str | None] = []
-        self.subject_key: list[str] = []
 
     def actor(self, addr: str) -> int:
         return self.actor_ids.setdefault(addr, len(self.actor_ids))
@@ -164,9 +135,6 @@ class _TableBuilder:
         self.recipient_indptr.append(len(self.recipient_ids))
         self.token_ids.extend(map(self.word_ids.__getitem__, event.tokens))
         self.token_indptr.append(len(self.token_ids))
-        self.message_id.append(event.message_id)
-        self.in_reply_to.append(event.in_reply_to)
-        self.subject_key.append(event.subject_key)
 
     def finish(self) -> EventTable:
         """The table, with actor and word ids renumbered to ranks in sorted order."""
@@ -182,9 +150,6 @@ class _TableBuilder:
             token_ids=word_rank[np.frombuffer(self.token_ids, dtype=np.int32)],
             actors=actors,
             words=words,
-            message_id=self.message_id,
-            in_reply_to=self.in_reply_to,
-            subject_key=self.subject_key,
         )
 
 

@@ -360,17 +360,32 @@ def loop_token_counts(events):
     return Counter(chain.from_iterable(e.tokens for e in events))
 
 
-def loop_read_event_csv(path) -> EventTable:
-    """The event table of an event CSV, one MessageEvent per row: each row
-    is parsed field by field, then checked by `MessageEvent.validate`."""
+def loop_read_event_csv(path) -> list[MessageEvent]:
+    """The events of an event CSV, one MessageEvent per row: each row is
+    parsed field by field, then checked by `MessageEvent.validate`."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != EVENT_CSV_COLUMNS:
             raise EventSchemaError(
                 f"row 1, column header: expected {','.join(EVENT_CSV_COLUMNS)}"
             )
-        events = [_row_event(row, lineno) for lineno, row in enumerate(reader, start=2)]
-    return EventTable.from_events(events)
+        return [_row_event(row, lineno) for lineno, row in enumerate(reader, start=2)]
+
+
+def table_rows(table: EventTable) -> list[tuple]:
+    """Each row of the table as (timestamp, sender, recipients, tokens), by
+    string: the fields of a MessageEvent that a table keeps."""
+    actors, words = table.actors, table.words
+    rec_ptr, rec_ids = table.recipient_indptr.tolist(), table.recipient_ids.tolist()
+    weights = table.recipient_weights.tolist()
+    tok_ptr, tok_ids = table.token_indptr.tolist(), table.token_ids.tolist()
+    return [
+        (stamp_datetime(us), actors[sender],
+         [(actors[a], w) for a, w in zip(rec_ids[rec_ptr[i]:rec_ptr[i + 1]],
+                                         weights[rec_ptr[i]:rec_ptr[i + 1]])],
+         [words[t] for t in tok_ids[tok_ptr[i]:tok_ptr[i + 1]]])
+        for i, (us, sender) in enumerate(zip(table.stamp_us.tolist(), table.sender.tolist()))
+    ]
 
 
 def _row_event(row: list[str], lineno: int) -> MessageEvent:

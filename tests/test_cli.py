@@ -13,11 +13,12 @@ import pytest
 import orgsignals
 from orgsignals.cli import main
 from orgsignals.graph import TimeWindowConfig
-from orgsignals.ingest import EXTERNAL_UNIT, read_event_csv, read_unit_csv, write_event_csv
+from orgsignals.ingest import EXTERNAL_UNIT, read_unit_csv, write_event_csv
 from orgsignals.signals import compute_signal_record, load_lexicon
 from orgsignals.table import EventTable
 
 from conftest import mk_event
+from oracles import loop_read_event_csv
 from test_ingest import BASE_HEADERS, make_mbox, write_second_stamp
 
 
@@ -324,6 +325,21 @@ def test_analyze_internal_value_error_exits_two(tmp_path, scenario_file, monkeyp
     assert "internal error: series length mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage", ["balanced_contribution", "honest_sentiment"])
+def test_analyze_value_error_in_a_signal_stage_exits_two(
+        tmp_path, scenario_file, monkeypatch, capsys, stage):
+    # only a stage's own precondition leaves its cell blank; any other
+    # ValueError is a fault
+    bundle = simulate(tmp_path, scenario_file)
+
+    def broken(*args, **kwargs):
+        raise ValueError("count out of range")
+
+    monkeypatch.setattr(orgsignals.signals, stage, broken)
+    assert run(analyze_args(bundle, tmp_path / "o")) == 2
+    assert "internal error: count out of range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "case", ["date", "window-nan", "window-inf", "lexicon", "reference", "config"]
 )
@@ -566,7 +582,7 @@ def test_analyze_interleaved_units_match_filtered_streams(tmp_path, mixed_bundle
         got = list(csv.reader(fh))[1:]
 
     # the records built one unit and one period at a time, by filtering
-    events = sorted(read_event_csv(mixed_bundle / "events.csv").to_events(),
+    events = sorted(loop_read_event_csv(mixed_bundle / "events.csv"),
                     key=lambda e: e.timestamp)
     mapping = read_unit_csv(mixed_bundle / "units.csv")
     lexicon = load_lexicon(mixed_bundle / "positive.txt", mixed_bundle / "negative.txt",

@@ -31,8 +31,9 @@ from orgsignals.ingest import (
 )
 
 import orgsignals.ingest as ingest
+from orgsignals.table import EventTable
 from conftest import T0, mk_event
-from oracles import full_parse_body, stdlib_split_headers
+from oracles import full_parse_body, loop_read_event_csv, stdlib_split_headers, table_rows
 from test_integration import unit_events
 
 
@@ -297,8 +298,25 @@ def test_event_csv_round_trip_small(tmp_path):
     ]
     path = tmp_path / "events.csv"
     write_event_csv(events, path)
-    back = read_event_csv(path).to_events()
+    back = loop_read_event_csv(path)
     assert back == sorted(events, key=lambda e: e.timestamp)
+    assert table_rows(read_event_csv(path)) == table_rows(EventTable.from_events(back))
+
+
+def test_event_csv_writer_quotes_folded_ids_and_subjects(tmp_path):
+    # a folded Message-ID keeps its line break; subjects hold commas and quotes
+    events = [
+        mk_event("a@x.com", ["b@x.com"], hours=1, message_id="<a\r\n b@x>",
+                 subject_key='budget, "final" plan', tokens=["plan"]),
+        mk_event("b@x.com", ["a@x.com", ("c@x.com", 0.5)], hours=2, message_id="<b@x>",
+                 in_reply_to="<a\r\n b@x>", subject_key='re "quoted", twice'),
+        mk_event("c@x.com", ["a@x.com"], hours=3, message_id='<c,"d"@x>',
+                 subject_key="a,b", tokens=["notes", "plan"]),
+    ]
+    path = tmp_path / "events.csv"
+    write_event_csv(events, path)
+    assert loop_read_event_csv(path) == events
+    assert table_rows(read_event_csv(path)) == table_rows(EventTable.from_events(events))
 
 
 addresses = st.from_regex(r"[a-z]{1,8}@[a-z]{1,8}\.[a-z]{2,3}", fullmatch=True)
@@ -335,10 +353,11 @@ def event_strategy(draw, index):
 def test_event_csv_round_trip_fuzzed(tmp_path_factory, events):
     path = tmp_path_factory.mktemp("csv") / "events.csv"
     write_event_csv(list(events), path)
-    back = read_event_csv(path).to_events()
+    back = loop_read_event_csv(path)
     assert back == sorted(events, key=lambda e: e.timestamp)
     for event in back:
         event.validate()
+    assert table_rows(read_event_csv(path)) == table_rows(EventTable.from_events(back))
 
 
 def test_event_csv_bad_timestamp_names_row(tmp_path):
@@ -370,14 +389,15 @@ def test_event_csv_stamp_out_of_range_in_utc_names_row(tmp_path, stamp):
 def test_event_csv_year_one_utc_stamp_is_read(tmp_path):
     path = tmp_path / "events.csv"
     write_second_stamp(path, "0001-01-01T00:30:00+00:00")
-    stamps = [event.timestamp for event in read_event_csv(path).to_events()]
+    stamps = [stamp for stamp, *_ in table_rows(read_event_csv(path))]
     assert stamps == [T0 + timedelta(hours=1), datetime(1, 1, 1, 0, 30, tzinfo=timezone.utc)]
 
 
 def test_event_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_event_csv([], path)
-    assert read_event_csv(path).to_events() == []
+    assert loop_read_event_csv(path) == []
+    assert table_rows(read_event_csv(path)) == []
 
 
 def test_event_csv_wrong_header(tmp_path):
@@ -715,20 +735,8 @@ def test_read_unit_csv_bad_row_names_row(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# shared strings and once-per-address checks in read_event_csv
+# once-per-address checks in read_event_csv
 # ---------------------------------------------------------------------------
-
-def test_event_csv_repeats_share_one_string(tmp_path):
-    path = tmp_path / "events.csv"
-    write_event_csv([
-        mk_event("a@x.com", ["b@x.com"], hours=1, tokens=["plan", "plan", "notes"]),
-        mk_event("b@x.com", ["a@x.com", "c@x.com"], hours=2, tokens=["plan"]),
-    ], path)
-    first, second = read_event_csv(path).to_events()
-    assert first.tokens[0] is first.tokens[1] is second.tokens[0]
-    assert first.sender is second.recipients[0][0]
-    assert first.recipients[0][0] is second.sender
-
 
 @pytest.mark.parametrize("last, message", [
     (mk_event("a@x.com", ["b@x.com", "Bad@X.com"], hours=3),

@@ -12,6 +12,7 @@ from scipy.special import rel_entr
 from orgsignals.graph import TimeWindowConfig
 from orgsignals.signals import (
     LexiconConfig,
+    PreconditionError,
     balanced_contribution,
     compute_signal_record,
     contribution_index,
@@ -114,7 +115,7 @@ def test_balanced_contribution_variance_of_plus_minus_one_and_zero():
 
 
 def test_balanced_contribution_insufficient():
-    with pytest.raises(ValueError, match="insufficient actors"):
+    with pytest.raises(PreconditionError, match="insufficient actors"):
         balanced_contribution(EventTable.from_events([mk_event("a@x.com", ["b@x.com"])]),
                               actors={"a@x.com"})
 
@@ -282,7 +283,7 @@ def test_honest_sentiment_reorder_invariant():
 
 
 def test_honest_sentiment_insufficient():
-    with pytest.raises(ValueError, match="insufficient messages"):
+    with pytest.raises(PreconditionError, match="insufficient messages"):
         honest_sentiment(
             EventTable.from_events([mk_event("a@x.com", ["b@x.com"], tokens=["hi", "there"])]), LEX)
 
