@@ -9,8 +9,12 @@ rules of the standard library's compat32 parser, and the text parts of
 a multipart body are found by splitting it on its boundary lines, each
 part's header block split off in turn.  `parse_mbox` cuts the archives
 into byte ranges and converts them on a pool of worker processes, one
-per usable CPU.  Events round-trip through a canonical CSV so later
-pipeline stages never re-parse mail.
+per usable CPU.  Each worker keeps one memo (`_Memo`) for its life: the
+canonical form of each raw address, and whether each distinct
+(Content-Type, Content-Disposition) pair of a text body part names a
+file, and its charset, so compat32 parses those parameters once per
+pair and not once per mail.  Events round-trip through a canonical CSV
+so later pipeline stages never re-parse mail.
 
 `read_event_csv` reads that CSV into an `orgsignals.table.EventTable`,
 checking each row once; the first fault names its row and column.  The
@@ -208,7 +212,15 @@ def _decode_mime_header(value) -> str:
         return str(value)
 
 
-def _extract_body(parts) -> str:
+def _names_file(part) -> bool:
+    """Whether a part has a file name; one that cannot be decoded counts."""
+    try:
+        return bool(part.get_filename())
+    except UnicodeError:  # an RFC 2231 name in a codec that refuses errors="replace"
+        return True
+
+
+def _extract_body(parts, memo: _Memo) -> str:
     """Best-effort plain text body of a message, given its parts in walk
     order; text/plain preferred over text/html.
 
@@ -216,8 +228,21 @@ def _extract_body(parts) -> str:
     file name (one that cannot be decoded counts) are decoded.  A charset
     that names no text codec, or one that cannot decode the payload with
     errors="replace" (idna, punycode), falls back to UTF-8.
+
+    Whether such a part names a file, and its charset, come from
+    `memo.text_parts`, keyed by the part's first Content-Type and
+    Content-Disposition values as `Message.get` returns them: compat32
+    works both facts out from those two values alone.  Each is filled
+    where it is first needed, so only these text parts are ever keyed,
+    and a miss costs the same `get_filename()` and, for a part with a
+    payload, `get_content_charset()` call as without the memo, plus one
+    dict entry.  A fault other than a UnicodeError from `get_filename()`
+    propagates and caches nothing.  A value holding 8-bit bytes is a
+    compat32 `Header`, which cannot be hashed, so such a part asks the
+    stdlib every time.
     """
     plain, markup = None, None
+    text_parts = memo.text_parts
     for part in parts:
         maintype, _, subtype = part.get_content_type().partition("/")
         if maintype != "text":
@@ -227,15 +252,21 @@ def _extract_body(parts) -> str:
                 continue
         elif subtype != "html" or markup is not None:
             continue
+        key = part.get("Content-Type"), part.get("Content-Disposition")
         try:
-            if part.get_filename():
-                continue
-        except UnicodeError:  # an RFC 2231 name that cannot be decoded names a file too
+            facts = text_parts[key]
+        except KeyError:
+            facts = text_parts[key] = [_names_file(part), None]
+        except TypeError:  # a Header value
+            facts = [_names_file(part), None]
+        if facts[0]:
             continue
         payload = part.get_payload(decode=True)
         if payload is None:
             continue
-        charset = part.get_content_charset() or "utf-8"
+        if facts[1] is None:
+            facts[1] = part.get_content_charset() or "utf-8"
+        charset = facts[1]
         try:
             text = payload.decode(charset, errors="replace")
         except (LookupError, UnicodeError):
@@ -410,6 +441,17 @@ class _Memo:
     memo's life: one parse_mbox call, or one pool worker process.
     `words` holds one string per distinct token, which every event's
     token list shares.
+
+    `text_parts` maps a body part's (Content-Type, Content-Disposition)
+    values, as `Message.get` returns them (None where absent), to
+    [names a file, charset or None until first needed], for the
+    text/plain and text/html parts that `_extract_body` asks (see
+    there).  It pays because mail repeats a few body part headers:
+    `perfbench/mailgen.py` repeats 4 pairs across the 12,994 leaves of
+    a 10,000-mail archive, and real clients write a few Content-Type
+    values for their bodies.  Attachments carry distinct names, but a
+    text/plain or text/html one enters only when no text part of its
+    subtype without a file name came before it, and other ones never.
     """
 
     def __init__(self, aliases: dict[str, str]):
@@ -417,6 +459,7 @@ class _Memo:
         self.by_value: dict[str, tuple[str | None, ...]] = {}
         self.by_raw: dict[str, str | None] = {}
         self.words: dict[str, str] = {}
+        self.text_parts: dict[tuple[str | None, str | None], list] = {}
 
     def addresses(self, value: str) -> tuple[str | None, ...]:
         found = self.by_value.get(value)
@@ -479,7 +522,7 @@ def _message_to_event(
         message_id = f"<generated-{digest}@orgsignals>"
 
     in_reply_to = (msg.get("In-Reply-To") or "").strip() or None
-    body = strip_quoted_reply(_extract_body(_body_parts(msg, raw)))
+    body = strip_quoted_reply(_extract_body(_body_parts(msg, raw), memo))
     return MessageEvent(
         message_id=message_id,
         timestamp=timestamp,

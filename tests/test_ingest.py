@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import email.feedparser
+import email.message
 import mailbox
 import os
 import string
@@ -530,9 +531,13 @@ def mime_message(draw):
     return text.encode(draw(st.sampled_from(["utf-8", "latin-1"])))
 
 
+# one memo for every example, so a mail meets facts that earlier mails cached
+WALK_MEMO = ingest._Memo({})
+
+
 def walked_body(raw):
     msg = ingest._split_headers(raw.decode("ascii", "surrogateescape"))
-    return ingest._extract_body(ingest._body_parts(msg, raw))
+    return ingest._extract_body(ingest._body_parts(msg, raw), WALK_MEMO)
 
 
 def body_or_fault(extract, raw):
@@ -581,6 +586,33 @@ def mime(content_type, *lines, end="\n"):
 @example(mime('multipart/mixed; boundary="B"',
               "--B", "Content-Type: text/plain; name*=idna''a.txt", "", "attached",
               "--B", "Content-Type: text/plain", "", "words", "--B--"))
+# The examples run in this order, on one memo.  A Content-Type cached by
+# a body without a name, then met beside an RFC 2231 file name in idna;
+# then one cached with an idna name, then met without it.
+@example(mime("text/plain; charset=us-ascii", "unnamed words"))
+@example(mime('multipart/mixed; boundary="B"',
+              "--B", "Content-Type: text/plain; charset=us-ascii",
+              "Content-Disposition: attachment; filename*=idna''a.txt", "", "attached",
+              "--B", "Content-Type: text/plain; charset=us-ascii", "", "words", "--B--"))
+@example(mime('multipart/mixed; boundary="B"',
+              "--B", "Content-Type: text/plain; charset=latin-1; name*=idna''a.txt", "",
+              "attached", "--B", "Content-Type: text/html", "", "<p>html</p>", "--B--"))
+@example(mime('multipart/mixed; boundary="B"',
+              "--B", "Content-Type: text/plain; charset=latin-1", "", "caf\u00e9", "--B--"))
+# the same idna name twice, in one mail and again in the next
+@example(mime('multipart/mixed; boundary="B"',
+              "--B", "Content-Type: text/html; name*=idna''a.htm", "", "<p>attached</p>",
+              "--B", "Content-Type: text/html; name*=idna''a.htm", "", "<p>again</p>",
+              "--B", "Content-Type: text/html", "", "<p>html</p>", "--B--"))
+@example(mime('multipart/alternative; boundary="B"',
+              "--B", "Content-Type: text/html; name*=idna''a.htm", "", "<p>attached</p>",
+              "--B", "Content-Type: text/plain", "", "words", "--B--"))
+# 8-bit bytes in a Content-Type line: a Header value, asked every time
+@example(mime("text/plain; charset=\"caf\u00e9\"", "words"))
+@example(mime('multipart/mixed; boundary="B"',
+              "--B", "Content-Type: text/plain; name=\"caf\u00e9.txt\"", "", "attached",
+              "--B", "Content-Type: text/plain; name=\"caf\u00e9.txt\"", "", "again",
+              "--B", "Content-Type: text/plain; charset=\"caf\u00e9\"", "", "words", "--B--"))
 @settings(max_examples=300, deadline=None)
 def test_walked_body_matches_full_parse(raw):
     assert body_or_fault(walked_body, raw) == body_or_fault(full_parse_body, raw)
@@ -799,6 +831,37 @@ def test_each_raw_address_canonicalized_once(tmp_path, monkeypatch):
     assert len(events) == 5
     assert sorted(calls) == ["C@x.com", "a@x.com", "b@x.com", "c@x.com"]
     assert events[0].recipients == [("b@x.com", 1.0), ("c@x.com", 0.5)]
+
+
+def test_each_text_part_header_pair_parsed_once(tmp_path, monkeypatch):
+    asked = {}  # method name -> the (Content-Type, Content-Disposition) of each call
+    for name in ("get_filename", "get_content_charset"):
+        def counting(part, *args, calls=asked.setdefault(name, []),
+                     original=getattr(email.message.Message, name)):
+            calls.append((part.get("Content-Type"), part.get("Content-Disposition")))
+            return original(part, *args)
+        monkeypatch.setattr(email.message.Message, name, counting)
+    path = tmp_path / "attached.mbox"
+    make_mbox(path, [
+        ({**BASE_HEADERS, "Message-ID": f"<m{i}@x.com>", "MIME-Version": "1.0",
+          "Content-Type": 'multipart/mixed; boundary="B"'},
+         "\n".join(["--B", "Content-Type: text/plain; charset=utf-8", "", "shared words",
+                    "--B", "Content-Type: text/plain",
+                    f'Content-Disposition: attachment; filename="n{i}.txt"', "", "attached",
+                    "--B", "Content-Type: application/pdf",
+                    f'Content-Disposition: attachment; filename="n{i}.pdf"', "", "JVBERi0=",
+                    "--B--"]))
+        for i in range(50)
+    ])
+    memo = ingest._Memo({})
+    skipped, events = ingest._parse_piece((str(path), 0, path.stat().st_size),
+                                          (IngestConfig(), memo))
+    assert (skipped, len(events)) == (0, 50)
+    assert {tuple(event.tokens) for event in events} == {("shared", "words")}
+    pairs = asked["get_filename"]
+    assert len(pairs) == len(set(pairs)) == len(memo.text_parts) == 1
+    assert asked["get_content_charset"] == pairs
+    assert memo.text_parts == {("text/plain; charset=utf-8", None): [False, "utf-8"]}
 
 
 def test_duplicate_across_archives_kept_once(tmp_path):
