@@ -1,11 +1,12 @@
 """Command-line pipeline: ingest -> analyze -> calibrate, plus simulate.
 
-Every command takes a key = value config file whose entries act as flag
-defaults (explicit flags win), writes only under --out-dir, and refuses
-to overwrite existing outputs without --force.  Exit codes: 0 success,
-1 user/input error, 2 internal invariant violation.  A ValueError counts
-as bad input only where it comes from reading the user's inputs and
-options; raised anywhere else, it is an internal fault.
+Every command takes a key = value config file whose keys are the
+command's option names (explicit flags win), writes only under
+--out-dir, and refuses to overwrite existing outputs without --force.
+Exit codes: 0 success, 1 user/input error (usage errors included), 2
+internal invariant violation.  A ValueError counts as bad input only
+where it comes from reading the user's inputs and options; raised
+anywhere else, it is an internal fault.
 """
 
 from __future__ import annotations
@@ -51,8 +52,16 @@ def _parse_utc(text: str) -> datetime:
     return stamp.astimezone(timezone.utc)
 
 
-def _load_config(path: str) -> dict[str, str]:
-    config: dict[str, str] = {}
+def _config_args(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The option tokens that a key = value config file stands for.
+
+    Each key names one of `parser`'s options; a flag is given only when
+    its value is 1, true, yes or on.  Parsing the tokens puts every value
+    through the same checks as on the command line.
+    """
+    options = {action.dest: action for action in parser._actions
+               if action.option_strings and action.dest != "help"}
+    tokens, unknown = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -61,27 +70,17 @@ def _load_config(path: str) -> dict[str, str]:
             if "=" not in text:
                 raise CliError(f"config {path} line {lineno}: expected key = value")
             key, _, value = text.partition("=")
-            config[key.strip().replace("-", "_")] = value.strip()
-    return config
-
-
-def _apply_config(parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    """Install config values as typed parser defaults; flags still win."""
-    converted = {}
-    for action in parser._actions:
-        if action.dest not in config:
-            continue
-        raw = config[action.dest]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            converted[action.dest] = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            converted[action.dest] = action.type(raw)
-        else:
-            converted[action.dest] = raw
-    unknown = set(config) - {a.dest for a in parser._actions}
+            key, value = key.strip().replace("-", "_"), value.strip()
+            action = options.get(key)
+            if action is None:
+                unknown.append(key)
+            elif action.nargs != 0:
+                tokens.append(f"{action.option_strings[0]}={value}")
+            elif value.lower() in ("1", "true", "yes", "on"):
+                tokens.append(action.option_strings[0])
     if unknown:
         raise CliError(f"config: unknown keys {sorted(unknown)}")
-    parser.set_defaults(**converted)
+    return tokens
 
 
 def _require(args, *names: str) -> None:
@@ -342,6 +341,14 @@ def cmd_simulate(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, as bad input; its subparsers
+    are of the same class."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value config file; flags override")
@@ -350,7 +357,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common.add_argument("--no-timestamps", action="store_true",
                         help="omit timestamps from reports for reproducible reruns")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="orgsignals",
         description="Communication-signal analytics over e-mail archives",
     )
@@ -412,17 +419,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
-        # pre-scan for --config so its values become typed defaults
-        config_path = None
-        for i, token in enumerate(argv):
-            if token == "--config" and i + 1 < len(argv):
-                config_path = argv[i + 1]
-            elif token.startswith("--config="):
-                config_path = token.split("=", 1)[1]
-        if config_path and argv and argv[0] in subparsers:
-            with _reading_input():
-                _apply_config(subparsers[argv[0]], _load_config(config_path))
         args = parser.parse_args(argv)
+        if args.config:
+            # the config's tokens go first, so that the command line's own win
+            config = _config_args(subparsers[args.command], args.config)
+            args = parser.parse_args([argv[0], *config, *argv[1:]])
         return args.func(args)
     except (CliError, OSError, ing.EventSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
-"""Windowed interaction graphs, actor centralities, group centralization.
+"""Windowed interaction graphs, betweenness, and its group centralization.
 
-Structure metrics run on the symmetrized simple graph (an edge iff a
-message passed in either direction), which keeps the classic Freeman
-extremal cases exact: a star centralizes to 1.0, a cycle to 0.0.
+Betweenness runs on the symmetrized simple graph (an edge iff a message
+passed in either direction), which keeps the classic Freeman extremal
+cases exact: a star centralizes to 1.0, a cycle to 0.0.
 
 `build_windows` builds every window of an EventTable at once, with its
 directed edges and its symmetrized CSR adjacency, from array operations
@@ -18,7 +18,7 @@ backend.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -96,30 +96,19 @@ class WindowedGraph:
     """Directed weighted multigraph for one window, one edge per actor pair.
 
     `nodes` is sorted.  `csr` is the symmetrized simple adjacency over
-    the node positions, (indptr, indices); `adjacency()` makes it from
-    `edges` when it is not given.
+    the node positions, (indptr, indices).
     """
 
     window_index: int
     window_start: datetime
     window_end: datetime
-    nodes: list[str] = field(default_factory=list)
-    edges: Mapping[tuple[str, str], tuple[int, float]] = field(default_factory=dict)
-    csr: tuple[np.ndarray, np.ndarray] | None = None
+    nodes: list[str]
+    edges: Mapping[tuple[str, str], tuple[int, float]]
+    csr: tuple[np.ndarray, np.ndarray]
 
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.csr is None:
-            pos = {v: i for i, v in enumerate(self.nodes)}
-            src, dst = np.array(
-                [(pos[a], pos[b]) for a, b in self.edges], dtype=np.int64
-            ).reshape(-1, 2).T
-            indptr, indices = _symmetric_adjacency(src, dst, self.n)
-            self.csr = indptr.astype(np.int32), indices.astype(np.int32)
-        return self.csr
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -181,7 +170,9 @@ def build_windows(events: EventTable | list[MessageEvent], cfg: TimeWindowConfig
                   ) -> list[WindowedGraph]:
     """Build one interaction graph per window position.
 
-    `events`, a table or a MessageEvent list, must be time-sorted.  A
+    `events` must be time-sorted.  Every analyze stage passes an
+    EventTable; the MessageEvent list form is kept because
+    `perfbench/checks.py` builds its reference windows from one.  A
     message falls in a window iff window_start <= timestamp < window_end.
 
     All windows are built at once.  A window node is a (window, actor)
@@ -234,15 +225,6 @@ def build_windows(events: EventTable | list[MessageEvent], cfg: TimeWindowConfig
     return graphs
 
 
-def degree_centrality(g: WindowedGraph) -> dict[str, float]:
-    """Freeman degree centrality deg(v)/(n-1) on the symmetrized graph."""
-    if g.n < 2:
-        raise DegenerateWindowError(f"degenerate window {g.window_index}: n={g.n}")
-    indptr, _ = g.adjacency()
-    denom = g.n - 1
-    return {v: int(indptr[i + 1] - indptr[i]) / denom for i, v in enumerate(g.nodes)}
-
-
 def betweenness_centrality(g: WindowedGraph) -> dict[str, float]:
     """Brandes betweenness, normalized by (n-1)(n-2)/2.
 
@@ -253,31 +235,25 @@ def betweenness_centrality(g: WindowedGraph) -> dict[str, float]:
         raise DegenerateWindowError(f"degenerate window {g.window_index}: n={g.n}")
     if g.n == 2:
         return dict.fromkeys(g.nodes, 0.0)
-    indptr, indices = g.adjacency()
+    indptr, indices = g.csr
     n = g.n
     scores = _kernel.brandes_accumulate(indptr, indices, n)
     scores = scores / (2.0 * ((n - 1) * (n - 2) / 2.0))
     return dict(zip(g.nodes, scores.tolist()))
 
 
-def group_centralization(centralities: dict[str, float], kind: str) -> float:
-    """Freeman group centralization of normalized centralities, in [0, 1].
+def group_centralization(betweenness: dict[str, float]) -> float:
+    """Freeman group centralization of normalized betweenness, in [0, 1].
 
     The gap sum against the most central actor is divided by its
-    theoretical maximum: n-2 for degree, n-1 for betweenness.
+    theoretical maximum, n-1, which a star reaches.
     """
-    n = len(centralities)
+    n = len(betweenness)
     if n < 3:
         raise CentralizationError(f"centralization undefined: n={n}")
-    if kind == "degree":
-        denom = n - 2
-    elif kind == "betweenness":
-        denom = n - 1
-    else:
-        raise ValueError(f"unknown centralization kind: {kind!r}")
-    c_max = max(centralities.values())
-    gap_sum = sum(c_max - c for c in centralities.values())
-    return min(1.0, max(0.0, gap_sum / denom))
+    c_max = max(betweenness.values())
+    gap_sum = sum(c_max - c for c in betweenness.values())
+    return min(1.0, max(0.0, gap_sum / (n - 1)))
 
 
 def write_window_csv(graphs: list[WindowedGraph], path) -> None:

@@ -8,7 +8,8 @@ than a fake zero when its inputs are insufficient.
 
 Each stage takes an `orgsignals.table.EventTable` and counts on its
 columns: `np.bincount` over actor ids, and one `np.lexsort` by integer
-actor-pair key and stamp for the reply runs.  The token column is
+actor-pair key and stamp for the reply runs; the two vocabulary metrics
+take the stream's `token_counts`, counted once.  The token column is
 counted a fixed-size slice at a time, so no count copies the whole
 column at a wider integer type.  Every float that reaches a signal
 gets the same operations as in a walk over event objects (integer
@@ -89,8 +90,6 @@ class SignalRecord:
     innovative_language: float | None = None
     oov_rate: float | None = None
 
-    dimensions = SIGNAL_DIMENSIONS
-
     def as_row(self) -> list[str]:
         row = [self.unit, self.period_start.isoformat(), self.period_end.isoformat()]
         for name in SIGNAL_DIMENSIONS:
@@ -139,14 +138,6 @@ class LexiconConfig:
 # Structure: contribution balance
 # ---------------------------------------------------------------------------
 
-def contribution_index(sent: int, received: int) -> float:
-    """(sent - received) / (sent + received); +1 pure sender, -1 pure receiver."""
-    total = sent + received
-    if total < 1:
-        raise ValueError("no activity")
-    return (sent - received) / total
-
-
 def _activity(table: EventTable) -> tuple[np.ndarray, np.ndarray]:
     """Messages sent and recipient entries received, per actor id."""
     k = len(table.actors)
@@ -164,18 +155,13 @@ def _id_mask(names: list[str], wanted) -> np.ndarray:
     return mask
 
 
-def actor_activity(table: EventTable) -> dict[str, tuple[int, int]]:
-    """Per-actor (sent, received) counts; each recipient occurrence counts 1."""
-    sent, received = _activity(table)
-    active = np.flatnonzero(sent + received).tolist()
-    return {table.actors[a]: (int(sent[a]), int(received[a])) for a in active}
-
-
 def balanced_contribution(table: EventTable, actors: set[str] | None = None) -> float:
     """Population variance of the contribution index over active actors.
 
-    `actors` optionally restricts which actors enter the variance (unit
-    members, typically); actors with no activity are excluded either way.
+    An actor's contribution index is (sent - received) / (sent + received):
+    +1 for a pure sender, -1 for a pure receiver.  `actors` optionally
+    restricts which actors enter the variance (unit members, typically);
+    actors with no activity are excluded either way.
     """
     sent, received = _activity(table)
     active = sent + received >= 1
@@ -213,28 +199,27 @@ def oscillation_count(series: list[float]) -> int:
 def rotating_leadership(
     betweenness_series: list[dict[str, float]],
     ci_series: list[dict[str, float]],
-    actors: set[str] | None = None,
+    actors: set[str],
 ) -> tuple[float, float]:
-    """Mean oscillation rates of per-actor betweenness and CI across windows.
+    """Mean oscillation rates of the actors' betweenness and CI across windows.
 
-    Both series must cover the same window positions; actors absent from a
-    window take value 0 there.  Each mean oscillation count is divided by
-    (windows - 2), the maximum per actor, so the rate lies in [0, 1].
+    Both series must cover the same window positions; an actor absent from
+    a window takes value 0 there.  Each mean oscillation count is divided
+    by (windows - 2), the maximum per actor, so the rate lies in [0, 1].
     """
     n_windows = len(betweenness_series)
     if len(ci_series) != n_windows:
         raise ValueError("series length mismatch")
     if n_windows < 3:
         raise ValueError("series too short")
+    if not actors:
+        raise ValueError("no actors")
 
     def mean_rate(series: list[dict[str, float]]) -> float:
-        pool = actors if actors is not None else {a for w in series for a in w}
-        if not pool:
-            return 0.0
         total = sum(
-            oscillation_count([w.get(a, 0.0) for w in series]) for a in pool
+            oscillation_count([w.get(a, 0.0) for w in series]) for a in actors
         )
-        return total / len(pool) / (n_windows - 2)
+        return total / len(actors) / (n_windows - 2)
 
     return mean_rate(betweenness_series), mean_rate(ci_series)
 
@@ -330,27 +315,6 @@ def rapid_response(
 # Content: sentiment dispersion and lexical divergence
 # ---------------------------------------------------------------------------
 
-def message_emotionality(
-    tokens: list[str], lexicon: LexiconConfig
-) -> tuple[float, float]:
-    """(emotional-token density, polarity balance) of one message."""
-    if not tokens:
-        raise ValueError("empty token list")
-    polarity = _polarity(lexicon)
-    signs = [polarity[t] for t in tokens if t in polarity]
-    hits = len(signs)
-    emotionality = hits / len(tokens)
-    sentiment = sum(signs) / hits if hits else 0.0
-    return emotionality, sentiment
-
-
-def _polarity(lexicon: LexiconConfig) -> dict[str, int]:
-    """Each lexicon word with its sign: +1 positive, -1 negative."""
-    polarity = dict.fromkeys(lexicon.positive, 1)
-    polarity.update(dict.fromkeys(lexicon.negative, -1))
-    return polarity
-
-
 def _token_slices(table: EventTable):
     """(offset, ids) of consecutive slices of `token_ids`, each at most
     `_TOKEN_SLICE` long."""
@@ -362,11 +326,13 @@ def _token_slices(table: EventTable):
 def honest_sentiment(table: EventTable, lexicon: LexiconConfig) -> float:
     """Population standard deviation of per-message emotionality.
 
+    A message's emotionality is the share of its tokens that are in the
+    positive or negative lexicon; messages without tokens are left out.
     A running count of emotional tokens is read off at each row
     boundary; a row's count is the running count at its end less that
     at its start.
     """
-    emotional = _id_mask(table.words, _polarity(lexicon)).view(np.int8)
+    emotional = _id_mask(table.words, lexicon.positive | lexicon.negative).view(np.int8)
     indptr = table.token_indptr
     before = np.zeros(len(indptr), dtype=np.int64)  # emotional tokens before each boundary
     counted = 0
@@ -412,34 +378,21 @@ def token_counts(table: EventTable) -> Counter[str]:
     return Counter(dict(zip([table.words[w] for w in used.tolist()], per_word[used].tolist())))
 
 
-def _token_counts(tokens: list[str] | Counter[str]) -> Counter[str]:
-    counts = Counter(tokens)  # counts a list, copies a Counter
+def innovative_language(counts: Counter[str], reference: dict[str, float]) -> float:
+    """Divergence of the unigram distribution of `counts`, the
+    `token_counts` of a stream, from the reference."""
     if not counts:
         raise ValueError("no content")
-    return counts
-
-
-def innovative_language(
-    tokens: list[str] | Counter[str], reference: dict[str, float]
-) -> float:
-    """Divergence of the token stream's unigram distribution from the reference.
-
-    `tokens` is the stream itself or a Counter of it.
-    """
-    counts = _token_counts(tokens)
     n = counts.total()
     p = {w: c / n for w, c in counts.items()}
     return jensen_shannon_divergence(p, reference)
 
 
-def out_of_vocabulary_rate(
-    tokens: list[str] | Counter[str], reference: dict[str, float]
-) -> float:
-    """Auxiliary metric: fraction of tokens absent from the reference.
-
-    `tokens` is the stream itself or a Counter of it.
-    """
-    counts = _token_counts(tokens)
+def out_of_vocabulary_rate(counts: Counter[str], reference: dict[str, float]) -> float:
+    """Auxiliary metric: the fraction of the tokens counted in `counts`,
+    the `token_counts` of a stream, that are absent from the reference."""
+    if not counts:
+        raise ValueError("no content")
     return sum(c for w, c in counts.items() if w not in reference) / counts.total()
 
 
@@ -512,7 +465,7 @@ def compute_signal_record(
             vector = betweenness_centrality(g)
             betweenness_series.append(vector)
             if g.n >= 3:
-                centralizations.append(group_centralization(vector, "betweenness"))
+                centralizations.append(group_centralization(vector))
         else:
             betweenness_series.append({})
     if centralizations:

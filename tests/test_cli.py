@@ -508,6 +508,25 @@ def test_config_unknown_key_exits_one(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,config,extra,message", [
+    ("analyze", None, ["--period", "weekly"], "invalid choice: 'weekly'"),
+    ("analyze", None, ["--window-days", "abc"], "invalid float value: 'abc'"),
+    ("analyze", "period = weekly\n", [], "invalid choice: 'weekly'"),
+    ("ingest", "mbox = a.mbox\n", [], "unknown keys ['mbox']"),
+], ids=["period-flag", "window-days-flag", "period-config", "positional-config"])
+def test_option_values_are_checked_as_flags_exit_one(tmp_path, capsys, command, config,
+                                                     extra, message):
+    # a config value goes through the same argparse checks as its flag,
+    # and a usage error is bad input
+    args = [command, "--out-dir", tmp_path / "o", *extra]
+    if config is not None:
+        (tmp_path / "run.conf").write_text(config)
+        args += ["--config", tmp_path / "run.conf"]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_analyze_missing_input_fails_before_writing(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["analyze", "--events", tmp_path / "absent.csv", "--out-dir", out]) == 1

@@ -17,13 +17,17 @@ from orgsignals.graph import (
     WindowedGraph,
     betweenness_centrality,
     build_windows,
-    degree_centrality,
     group_centralization,
     window_spans,
 )
 
 from conftest import T0, mk_event
-from oracles import brute_betweenness, float64_brandes_accumulate, loop_brandes
+from oracles import (
+    brute_betweenness,
+    float64_brandes_accumulate,
+    loop_brandes,
+    loop_symmetrized_csr,
+)
 
 # There is one kernel; the parameter keeps the ids of the kernel tests stable.
 each_kernel = pytest.mark.parametrize(
@@ -34,7 +38,9 @@ each_kernel = pytest.mark.parametrize(
 def make_graph(n, edges):
     nodes = [f"n{i:02d}@x.com" for i in range(n)]
     edge_map = {(nodes[a], nodes[b]): (1, 1.0) for a, b in edges}
-    return WindowedGraph(0, T0, T0 + timedelta(days=7), nodes, edge_map), nodes
+    # int32, as build_windows makes it
+    csr = tuple(a.astype(np.int32) for a in loop_symmetrized_csr(nodes, edge_map))
+    return WindowedGraph(0, T0, T0 + timedelta(days=7), nodes, edge_map, csr), nodes
 
 
 def star_edges(n):
@@ -132,33 +138,6 @@ def test_event_membership_matches_span_arithmetic(length, step, offset):
 
 
 # ---------------------------------------------------------------------------
-# degree centrality
-# ---------------------------------------------------------------------------
-
-def test_degree_star_center():
-    g, nodes = make_graph(5, star_edges(5))
-    c = degree_centrality(g)
-    assert c[nodes[0]] == 1.0
-    assert all(c[v] == 0.25 for v in nodes[1:])
-
-
-def test_degree_five_cycle():
-    g, nodes = make_graph(5, cycle_edges(5))
-    assert set(degree_centrality(g).values()) == {0.5}
-
-
-def test_degree_two_dyads():
-    g, nodes = make_graph(4, [(0, 1), (2, 3)])
-    assert set(degree_centrality(g).values()) == {1 / 3}
-
-
-def test_degree_degenerate():
-    g, _ = make_graph(1, [])
-    with pytest.raises(DegenerateWindowError, match="degenerate window"):
-        degree_centrality(g)
-
-
-# ---------------------------------------------------------------------------
 # betweenness centrality
 # ---------------------------------------------------------------------------
 
@@ -209,14 +188,12 @@ def test_betweenness_n2_skips_the_kernel(monkeypatch, edges):
 def test_edgeless_graph_all_zero():
     g, nodes = make_graph(4, [])
     assert set(betweenness_centrality(g).values()) == {0.0}
-    assert set(degree_centrality(g).values()) == {0.0}
-    assert group_centralization(degree_centrality(g), "degree") == 0.0
+    assert group_centralization(betweenness_centrality(g)) == 0.0
 
 
 def kernel_scores(kernel, n, edges):
     """Ordered-pair scores of `kernel` on the graph over nodes 0..n-1."""
-    g, _ = make_graph(n, edges)
-    indptr, indices = g.adjacency()
+    indptr, indices = make_graph(n, edges)[0].csr
     return list(kernel(indptr, indices, n))
 
 
@@ -231,8 +208,7 @@ def test_betweenness_matches_brute_force_random_graphs(kernel):
             for b in range(a + 1, n)
             if rng.random() < rng.choice([0.2, 0.4, 0.7])
         }
-        g, nodes = make_graph(n, edges)
-        indptr, indices = g.adjacency()
+        indptr, indices = make_graph(n, edges)[0].csr
         scores = kernel(indptr, indices, n)
         normalized = [s / ((n - 1) * (n - 2)) for s in scores]
         expected = brute_betweenness(n, edges)
@@ -307,8 +283,7 @@ def test_kernel_matches_loop_brandes_across_several_blocks():
 
 
 def adjacency_of(n, edges):
-    g, _ = make_graph(n, edges)
-    return (*g.adjacency(), n)
+    return (*make_graph(n, edges)[0].csr, n)
 
 
 @st.composite
@@ -390,36 +365,38 @@ def test_betweenness_values_in_unit_interval_fuzz():
         g, _ = make_graph(n, edges)
         for value in betweenness_centrality(g).values():
             assert 0.0 <= value <= 1.0
-        for value in degree_centrality(g).values():
-            assert 0.0 <= value <= 1.0
 
 
 # ---------------------------------------------------------------------------
 # group centralization
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", ["degree", "betweenness"])
-def test_star_centralization_is_one(kind):
+# One centrality is centralized; the parameter keeps the ids of these tests stable.
+each_centrality = pytest.mark.parametrize(
+    "centrality", [betweenness_centrality], ids=["betweenness"]
+)
+
+
+@each_centrality
+def test_star_centralization_is_one(centrality):
     g, _ = make_graph(5, star_edges(5))
-    c = degree_centrality(g) if kind == "degree" else betweenness_centrality(g)
-    assert group_centralization(c, kind) == pytest.approx(1.0, abs=1e-12)
+    assert group_centralization(centrality(g)) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["degree", "betweenness"])
-def test_cycle_centralization_is_zero(kind):
+@each_centrality
+def test_cycle_centralization_is_zero(centrality):
     g, _ = make_graph(5, cycle_edges(5))
-    c = degree_centrality(g) if kind == "degree" else betweenness_centrality(g)
-    assert group_centralization(c, kind) == pytest.approx(0.0, abs=1e-12)
+    assert group_centralization(centrality(g)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_centralization_zero_iff_equal():
-    assert group_centralization({"a": 0.4, "b": 0.4, "c": 0.4}, "degree") == 0.0
-    assert group_centralization({"a": 0.5, "b": 0.4, "c": 0.4}, "degree") > 0.0
+    assert group_centralization({"a": 0.4, "b": 0.4, "c": 0.4}) == 0.0
+    assert group_centralization({"a": 0.5, "b": 0.4, "c": 0.4}) > 0.0
 
 
 def test_centralization_undefined_below_three():
     with pytest.raises(CentralizationError, match="centralization undefined"):
-        group_centralization({"a": 1.0, "b": 0.0}, "degree")
+        group_centralization({"a": 1.0, "b": 0.0})
 
 
 def test_centralization_invariant_under_relabeling():
@@ -430,16 +407,11 @@ def test_centralization_invariant_under_relabeling():
             (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4
         }
         g, nodes = make_graph(n, edges)
-        value = group_centralization(betweenness_centrality(g), "betweenness")
+        value = group_centralization(betweenness_centrality(g))
 
         perm = list(range(n))
         rng.shuffle(perm)
         relabeled = {(perm[a], perm[b]) for a, b in edges}
         g2, _ = make_graph(n, relabeled)
-        value2 = group_centralization(betweenness_centrality(g2), "betweenness")
+        value2 = group_centralization(betweenness_centrality(g2))
         assert value == pytest.approx(value2, abs=1e-12)
-
-
-def test_unknown_centralization_kind():
-    with pytest.raises(ValueError, match="unknown centralization kind"):
-        group_centralization({"a": 1.0, "b": 0.0, "c": 0.0}, "closeness")

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgsignals.graph import TimeWindowConfig, WindowedGraph, build_windows
+from orgsignals.graph import TimeWindowConfig, build_windows
 from orgsignals.ingest import (
     EVENT_CSV_COLUMNS,
     EventSchemaError,
@@ -22,9 +22,7 @@ from orgsignals.ingest import (
 from orgsignals.signals import (
     LexiconConfig,
     _window_ci_vectors,
-    actor_activity,
     balanced_contribution,
-    contribution_index,
     honest_sentiment,
     token_counts,
 )
@@ -87,17 +85,14 @@ def test_columnar_stages_match_event_walks(events, length, step):
         assert g.nodes == nodes
         assert len(g.edges) == len(edges) and dict(g.edges) == edges
         want = loop_symmetrized_csr(nodes, edges)
-        hand_built = WindowedGraph(0, T0, T0, nodes, edges)
-        for csr in (g.csr, hand_built.adjacency()):
-            assert np.array_equal(csr[0], want[0]) and np.array_equal(csr[1], want[1])
+        assert np.array_equal(g.csr[0], want[0]) and np.array_equal(g.csr[1], want[1])
     assert _window_ci_vectors(EventTable.from_events(ordered), graphs) == [
-        {a: contribution_index(s, r) for a, (s, r) in loop_actor_activity(
-            [e for e in ordered if g.window_start <= e.timestamp < g.window_end]).items()}
+        loop_contribution_indices(
+            [e for e in ordered if g.window_start <= e.timestamp < g.window_end])
         for g in graphs
     ]
 
     table = EventTable.from_events(events)
-    assert actor_activity(table) == loop_actor_activity(events)
     assert token_counts(table) == loop_token_counts(events)
     assert outcome(honest_sentiment, table, LEX) == outcome(loop_honest_sentiment, events, LEX)
     assert outcome(balanced_contribution, table) == outcome(loop_balanced_contribution, events)
@@ -163,8 +158,13 @@ def outcome(stage, *args):
         return ValueError
 
 
+def loop_contribution_indices(events):
+    """Each active actor's (sent - received) / (sent + received)."""
+    return {a: (s - r) / (s + r) for a, (s, r) in loop_actor_activity(events).items()}
+
+
 def loop_balanced_contribution(events):
-    values = [contribution_index(s, r) for s, r in loop_actor_activity(events).values()]
+    values = list(loop_contribution_indices(events).values())
     if len(values) < 2:
         raise ValueError("insufficient actors")
     mean = math.fsum(values) / len(values)
