@@ -50,14 +50,6 @@ class DesignMatrix:
     units: list[str]
     dropped_units: list[str] = field(default_factory=list)
 
-    @property
-    def n(self) -> int:
-        return int(self.x.shape[0])
-
-    @property
-    def p(self) -> int:
-        return len(self.predictor_names)
-
 
 @dataclass(slots=True)
 class RegressionResult:
@@ -68,7 +60,6 @@ class RegressionResult:
     adj_r2: float
     n: int
     p: int
-    residual_variance: float
 
 
 def adjusted_r2(r2: float, n: int, p: int) -> float:
@@ -123,7 +114,6 @@ def fit_ols(design: DesignMatrix) -> RegressionResult:
         adj_r2=adjusted_r2(r2, n, k - 1),
         n=n,
         p=k - 1,
-        residual_variance=sigma2,
     )
 
 

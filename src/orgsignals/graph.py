@@ -4,10 +4,10 @@ Betweenness runs on the symmetrized simple graph (an edge iff a message
 passed in either direction), which keeps the classic Freeman extremal
 cases exact: a star centralizes to 1.0, a cycle to 0.0.
 
-`build_windows` builds every window of an EventTable at once, with its
-directed edges and its symmetrized CSR adjacency, from array operations
-over (window, actor) node codes; a window's edge dict of strings is
-made only when someone looks it up.
+`build_windows` builds every window of an EventTable at once, from
+array operations over (window, actor) node codes: its directed edge
+table, its symmetrized CSR adjacency and each node's contribution index
+all come from the one grouping of the window's rows and entries.
 
 Betweenness is Brandes' algorithm over a CSR adjacency, run by the
 vectorized numpy/scipy.sparse kernel in orgsignals._betweenness_py.
@@ -17,7 +17,6 @@ backend.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -52,59 +51,32 @@ class TimeWindowConfig:
             raise ValueError("step must be positive")
 
 
-class _WindowEdges(Mapping):
-    """A window's directed edges, (src, dst) -> (count, weight sum).
-
-    Held as arrays of node positions; the dict of strings is made on the
-    first lookup.
-    """
-
-    __slots__ = ("_nodes", "_src", "_dst", "_counts", "_sums", "_dict")
-
-    def __init__(self, nodes, src, dst, counts, sums):
-        self._nodes, self._src, self._dst = nodes, src, dst
-        self._counts, self._sums = counts, sums
-        self._dict = None
-
-    def __len__(self) -> int:
-        return len(self._src)
-
-    def _items(self) -> dict[tuple[str, str], tuple[int, float]]:
-        if self._dict is None:
-            nodes = self._nodes
-            self._dict = {
-                (nodes[src], nodes[dst]): (count, total)
-                for src, dst, count, total in zip(
-                    self._src.tolist(), self._dst.tolist(),
-                    self._counts.tolist(), self._sums.tolist(),
-                )
-            }
-        return self._dict
-
-    def __iter__(self):
-        return iter(self._items())
-
-    def __getitem__(self, key):
-        return self._items()[key]
-
-    def __repr__(self) -> str:
-        return repr(self._items())
+# A window's directed edges, one row per (src, dst) pair of node positions
+# within the window, in (src, dst) order: the message count and the sum of
+# the recipient weights of the pair's entries.
+EDGE_DTYPE = np.dtype([("src", np.int32), ("dst", np.int32),
+                       ("count", np.int64), ("weight_sum", np.float64)])
 
 
 @dataclass(slots=True)
 class WindowedGraph:
     """Directed weighted multigraph for one window, one edge per actor pair.
 
-    `nodes` is sorted.  `csr` is the symmetrized simple adjacency over
-    the node positions, (indptr, indices).
+    `nodes` is sorted, and the other fields index it by position:
+    `edges` is an EDGE_DTYPE array in (src, dst) order, so also in the
+    order of the address pairs; `csr` is the symmetrized simple
+    adjacency, (indptr, indices); `ci` is each node's contribution
+    index, (sent - received) / (sent + received), counting the messages
+    it sent and the recipient entries it received in the window.
     """
 
     window_index: int
     window_start: datetime
     window_end: datetime
     nodes: list[str]
-    edges: Mapping[tuple[str, str], tuple[int, float]]
+    edges: np.ndarray
     csr: tuple[np.ndarray, np.ndarray]
+    ci: np.ndarray
 
     @property
     def n(self) -> int:
@@ -177,11 +149,15 @@ def build_windows(events: EventTable | list[MessageEvent], cfg: TimeWindowConfig
 
     All windows are built at once.  A window node is a (window, actor)
     pair, numbered window after window and in address order within a
-    window.  Each recipient entry is an edge between the nodes of its
+    window; each row and each recipient entry is looked up once among
+    them.  Each recipient entry is an edge between the nodes of its
     sender and its recipient; the distinct edges, their message counts
     and their weight sums, accumulated in row order, come from one
     `np.unique` over the codes src * N + dst, and the symmetrized
-    adjacency of every window from one more sort.
+    adjacency of every window from one more sort.  A node's contribution
+    index counts the rows it sent and the entries it received; every
+    node sent or received something, so every index is defined.  Each
+    window's `edges` and `ci` are views of one array for all windows.
     """
     table = events if isinstance(events, EventTable) else EventTable.from_events(events)
     spans = window_spans(cfg)
@@ -189,22 +165,29 @@ def build_windows(events: EventTable | list[MessageEvent], cfg: TimeWindowConfig
         return []
     k = len(table.actors)
     row_window, rows, entry_window, entries = window_members(table, spans)
-    src_keys = entry_window * k + table.recipient_senders()[entries]
+    row_keys = row_window * k + table.sender[rows]
     dst_keys = entry_window * k + table.recipient_ids[entries]
-    node_keys = _distinct(np.concatenate([row_window * k + table.sender[rows], dst_keys]))
+    node_keys = _distinct(np.concatenate([row_keys, dst_keys]))
     n_total = len(node_keys)
     offsets = np.searchsorted(node_keys, np.arange(len(spans) + 1) * k).tolist()
     first_node = np.repeat(offsets[:-1], np.diff(offsets))  # of each node's window
 
-    codes, inverse = np.unique(
-        np.searchsorted(node_keys, src_keys) * n_total + np.searchsorted(node_keys, dst_keys),
-        return_inverse=True,
-    )
-    counts = np.bincount(inverse, minlength=len(codes))
-    sums = np.bincount(inverse, weights=table.recipient_weights[entries], minlength=len(codes))
+    row_node = np.searchsorted(node_keys, row_keys)
+    dst_node = np.searchsorted(node_keys, dst_keys)
+    # a window's entries are those of its rows, in row order
+    src_node = np.repeat(row_node, np.diff(table.recipient_indptr)[rows])
+    sent = np.bincount(row_node, minlength=n_total)
+    received = np.bincount(dst_node, minlength=n_total)
+    ci = (sent - received) / (sent + received)
+
+    codes, inverse = np.unique(src_node * n_total + dst_node, return_inverse=True)
     src, dst = np.divmod(codes, n_total)
+    edges = np.empty(len(codes), dtype=EDGE_DTYPE)
+    edges["src"], edges["dst"] = src - first_node[src], dst - first_node[dst]
+    edges["count"] = np.bincount(inverse, minlength=len(codes))
+    edges["weight_sum"] = np.bincount(inverse, weights=table.recipient_weights[entries],
+                                      minlength=len(codes))
     edge_offsets = np.searchsorted(src, offsets).tolist()
-    src_local, dst_local = src - first_node[src], dst - first_node[dst]
 
     indptr, indices = _symmetric_adjacency(src, dst, n_total)
     indices = (indices - first_node[indices]).astype(np.int32)
@@ -214,14 +197,12 @@ def build_windows(events: EventTable | list[MessageEvent], cfg: TimeWindowConfig
     graphs: list[WindowedGraph] = []
     for index, (start, end) in enumerate(spans):
         lo, hi = offsets[index], offsets[index + 1]
-        e_lo, e_hi = edge_offsets[index], edge_offsets[index + 1]
-        nodes = node_names[lo:hi]
-        edges = _WindowEdges(nodes, src_local[e_lo:e_hi], dst_local[e_lo:e_hi],
-                             counts[e_lo:e_hi], sums[e_lo:e_hi])
         window_indptr = indptr[lo:hi + 1]
         csr = ((window_indptr - window_indptr[0]).astype(np.int32),
                indices[window_indptr[0]:window_indptr[-1]])
-        graphs.append(WindowedGraph(index, start, end, nodes, edges, csr))
+        graphs.append(WindowedGraph(
+            index, start, end, node_names[lo:hi],
+            edges[edge_offsets[index]:edge_offsets[index + 1]], csr, ci[lo:hi]))
     return graphs
 
 
@@ -264,5 +245,6 @@ def write_window_csv(graphs: list[WindowedGraph], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["window_index", "src", "dst", "count", "weight_sum"])
         for g in graphs:
-            for (src, dst), (count, total) in sorted(g.edges.items()):
-                writer.writerow([g.window_index, src, dst, count, repr(total)])
+            for src, dst, count, total in g.edges.tolist():
+                writer.writerow([g.window_index, g.nodes[src], g.nodes[dst], count,
+                                 repr(total)])

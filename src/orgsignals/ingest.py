@@ -124,6 +124,14 @@ class IngestConfig:
     date_end: datetime | None = None    # exclusive corpus bound, UTC
     aliases: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        # read_event_csv refuses a recipient weight outside (0, 1]
+        for name in ("to_weight", "cc_weight"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in (0, 1]")
+        if self.broadcast_threshold < 1:
+            raise ValueError("broadcast_threshold must be at least 1")
+
 
 @dataclass(slots=True)
 class IngestReport:

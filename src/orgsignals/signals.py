@@ -9,12 +9,13 @@ than a fake zero when its inputs are insufficient.
 Each stage takes an `orgsignals.table.EventTable` and counts on its
 columns: `np.bincount` over actor ids, and one `np.lexsort` by integer
 actor-pair key and stamp for the reply runs; the two vocabulary metrics
-take the stream's `token_counts`, counted once.  The token column is
-counted a fixed-size slice at a time, so no count copies the whole
-column at a wider integer type.  Every float that reaches a signal
-gets the same operations as in a walk over event objects (integer
-counts, exactly rounded `fsum`, `(v - mean) ** 2` on Python floats), so
-the values do not depend on the layout.
+take the stream's `token_counts`, counted once.  Rotating leadership
+reads each window's contribution indices from `graph.build_windows`.
+The token column is counted a fixed-size slice at a time, so no count
+copies the whole column at a wider integer type.  Every float that
+reaches a signal gets the same operations as in a walk over event
+objects (integer counts, exactly rounded `fsum`, `(v - mean) ** 2` on
+Python floats), so the values do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import logging
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from .graph import (
     betweenness_centrality,
     build_windows,
     group_centralization,
-    window_members,
 )
 from .table import EventTable, stamp_datetime, stamp_us
 
@@ -400,25 +400,9 @@ def out_of_vocabulary_rate(counts: Counter[str], reference: dict[str, float]) ->
 # Composition
 # ---------------------------------------------------------------------------
 
-def _window_ci_vectors(table: EventTable, graphs) -> list[dict[str, float]]:
-    """Per-window contribution index per actor; inactive actors omitted.
-
-    The (window, actor) pairs of all windows are counted at once.
-    """
-    k = len(table.actors)
-    spans = [(g.window_start, g.window_end) for g in graphs]
-    row_window, rows, entry_window, entries = window_members(table, spans)
-    sent_keys = row_window * k + table.sender[rows]
-    active, inverse = np.unique(
-        np.concatenate([sent_keys, entry_window * k + table.recipient_ids[entries]]),
-        return_inverse=True,
-    )
-    sent = np.bincount(inverse[:len(sent_keys)], minlength=len(active))
-    received = np.bincount(inverse[len(sent_keys):], minlength=len(active))
-    values = ((sent - received) / (sent + received)).tolist()
-    names = [table.actors[a] for a in (active % k).tolist()]
-    cuts = np.searchsorted(active, np.arange(len(graphs) + 1) * k).tolist()
-    return [dict(zip(names[lo:hi], values[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
+def _window_ci_vectors(graphs) -> list[dict[str, float]]:
+    """Per-window contribution index per actor; inactive actors omitted."""
+    return [dict(zip(g.nodes, g.ci.tolist())) for g in graphs]
 
 
 def compute_signal_record(
@@ -449,13 +433,7 @@ def compute_signal_record(
         raise ValueError(f"unit {unit!r} has no events in period")
     record = SignalRecord(unit=unit, period_start=start, period_end=end)
 
-    cfg = TimeWindowConfig(
-        window_length=window_cfg.window_length,
-        step=window_cfg.step,
-        corpus_start=start,
-        corpus_end=end,
-    )
-    graphs = build_windows(events, cfg)
+    graphs = build_windows(events, replace(window_cfg, corpus_start=start, corpus_end=end))
 
     # structure: mean betweenness centralization over computable windows
     centralizations = []
@@ -478,7 +456,7 @@ def compute_signal_record(
 
     # dynamics: oscillation rates need at least three window positions
     if len(graphs) >= 3:
-        ci_series = _window_ci_vectors(events, graphs)
+        ci_series = _window_ci_vectors(graphs)
         seen = {a for w in betweenness_series for a in w} | {a for w in ci_series for a in w}
         pool = seen if members is None else members & seen
         if pool:

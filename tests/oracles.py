@@ -30,6 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from orgsignals._betweenness_py import SOURCE_BLOCK
+from orgsignals.graph import EDGE_DTYPE, WindowedGraph, window_spans
 from orgsignals.ingest import (
     EVENT_CSV_COLUMNS,
     EventSchemaError,
@@ -302,8 +303,6 @@ def loop_windows(events, cfg):
     and recipients as nodes, and one message and its weight to the edge
     (sender, recipient), in event order.
     """
-    from orgsignals.graph import window_spans
-
     stamps = [e.timestamp for e in events]
     out = []
     for start, end in window_spans(cfg):
@@ -334,6 +333,28 @@ def loop_symmetrized_csr(nodes, edges):
         flat.extend(sorted(ns))
         indptr.append(len(flat))
     return np.array(indptr), np.array(flat, dtype=np.int64)
+
+
+def edge_dict(g: WindowedGraph) -> dict[tuple[str, str], tuple[int, float]]:
+    """A window's edge table as {(src, dst) address: (count, weight sum)}."""
+    return {(g.nodes[src], g.nodes[dst]): (count, total)
+            for src, dst, count, total in g.edges.tolist()}
+
+
+def make_graph(n: int, edges) -> WindowedGraph:
+    """A window over the nodes n00@x.com, n01@x.com, ... with one message
+    of weight 1 on each directed edge (a, b) of node positions.
+
+    Its CSR comes from `loop_symmetrized_csr`, in int32 as build_windows
+    makes it; its contribution indices are zeros, which no centrality reads.
+    """
+    nodes = [f"n{i:02d}@x.com" for i in range(n)]
+    pairs = sorted(set(edges))
+    table = np.array([(a, b, 1, 1.0) for a, b in pairs], dtype=EDGE_DTYPE)
+    csr = loop_symmetrized_csr(nodes, [(nodes[a], nodes[b]) for a, b in pairs])
+    start = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    return WindowedGraph(0, start, start + timedelta(days=7), nodes, table,
+                         tuple(a.astype(np.int32) for a in csr), np.zeros(n))
 
 
 def loop_actor_activity(events):

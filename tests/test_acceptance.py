@@ -15,11 +15,7 @@ import pytest
 import orgsignals
 from orgsignals.calibrate import adjusted_r2, fit_ols, nested_model_table, DesignMatrix
 from orgsignals.cli import main
-from orgsignals.graph import (
-    WindowedGraph,
-    betweenness_centrality,
-    group_centralization,
-)
+from orgsignals.graph import betweenness_centrality, group_centralization
 from orgsignals.signals import (
     extract_response_events,
     jensen_shannon_divergence,
@@ -32,20 +28,13 @@ from oracles import (
     brute_betweenness,
     brute_oscillations,
     brute_response_runs,
-    loop_symmetrized_csr,
+    make_graph,
     normal_equations_fit,
 )
 
 
 def ok(criterion, detail=""):
     print(f"ACCEPTANCE {criterion}: PASS {detail}".rstrip())
-
-
-def make_graph(n, edges):
-    nodes = [f"n{i:02d}@x.com" for i in range(n)]
-    edge_map = {(nodes[a], nodes[b]): (1, 1.0) for a, b in edges}
-    return WindowedGraph(0, T0, T0 + timedelta(days=7), nodes, edge_map,
-                         loop_symmetrized_csr(nodes, edge_map))
 
 
 def test_c01_adjusted_r2_anchor():

@@ -17,8 +17,8 @@ from orgsignals.ingest import EXTERNAL_UNIT, read_unit_csv, write_event_csv
 from orgsignals.signals import compute_signal_record, load_lexicon
 from orgsignals.table import EventTable
 
-from conftest import mk_event
-from oracles import loop_read_event_csv
+from conftest import T0, mk_event
+from oracles import loop_read_event_csv, loop_windows
 from test_ingest import BASE_HEADERS, make_mbox, write_second_stamp
 
 
@@ -77,6 +77,22 @@ def test_ingest_broadcast_threshold_flag(tmp_path):
     report = json.loads((out / "ingest_report.json").read_text())
     assert report["broadcast_dropped"] == 1
     assert report["written"] == 0
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cc-weight", "1.5", "cc_weight must be in (0, 1]"),
+    ("--to-weight", "0", "to_weight must be in (0, 1]"),
+    ("--to-weight", "nan", "to_weight must be in (0, 1]"),
+    ("--broadcast-threshold", "0", "broadcast_threshold must be at least 1"),
+], ids=["cc-weight-above-one", "to-weight-zero", "to-weight-nan", "threshold-zero"])
+def test_ingest_bad_config_values_exit_one(tmp_path, capsys, flag, value, message):
+    # analyze refuses a recipient weight outside (0, 1], so ingest must not write one
+    mbox = tmp_path / "in.mbox"
+    make_mbox(mbox, [({**BASE_HEADERS, "Cc": "c@x.com"}, "x y")])
+    out = tmp_path / "out"
+    assert run(["ingest", mbox, "--out-dir", out, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "events.csv").exists()
 
 
 def test_ingest_refuses_overwrite_without_force(tmp_path):
@@ -693,3 +709,29 @@ def test_traced_targets_resolve_after_cli_import():
     result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True)
     assert result.stdout == ""  # one line per target that does not resolve
+
+
+def test_traced_analyze_counts_the_window_edges(tmp_path, scenario_file):
+    # perfbench/run.py --trace 1 reads build_windows' result through these counters
+    bundle = simulate(tmp_path, scenario_file)
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    probe = (
+        "import json, sys, orgsignals.cli\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "from tracer import Tracer, layer_metrics\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "code = orgsignals.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, layer_metrics(tracer.dump())]))\n"
+    )
+    start, end = T0, T0 + timedelta(days=35)
+    args = ["analyze", "--events", bundle / "events.csv", "--out-dir", tmp_path / "out",
+            "--corpus-start", start.isoformat(), "--corpus-end", end.isoformat()]
+    result = subprocess.run([sys.executable, "-c", probe, *map(str, args)],
+                            env=package_env(), check=True, capture_output=True, text=True)
+    code, metrics = json.loads(result.stdout.splitlines()[-1])
+    events = sorted(loop_read_event_csv(bundle / "events.csv"), key=lambda e: e.timestamp)
+    windows = loop_windows(events, TimeWindowConfig(corpus_start=start, corpus_end=end))
+    assert code == 0
+    assert metrics["graph.windows"] == len(windows) == 5
+    assert metrics["graph.window_edges"] == sum(len(edges) for _, edges in windows) > 0

@@ -14,7 +14,6 @@ from orgsignals.graph import (
     CentralizationError,
     DegenerateWindowError,
     TimeWindowConfig,
-    WindowedGraph,
     betweenness_centrality,
     build_windows,
     group_centralization,
@@ -24,23 +23,16 @@ from orgsignals.graph import (
 from conftest import T0, mk_event
 from oracles import (
     brute_betweenness,
+    edge_dict,
     float64_brandes_accumulate,
     loop_brandes,
-    loop_symmetrized_csr,
+    make_graph,
 )
 
 # There is one kernel; the parameter keeps the ids of the kernel tests stable.
 each_kernel = pytest.mark.parametrize(
     "kernel", [_betweenness_py.brandes_accumulate], ids=["_betweenness_py"]
 )
-
-
-def make_graph(n, edges):
-    nodes = [f"n{i:02d}@x.com" for i in range(n)]
-    edge_map = {(nodes[a], nodes[b]): (1, 1.0) for a, b in edges}
-    # int32, as build_windows makes it
-    csr = tuple(a.astype(np.int32) for a in loop_symmetrized_csr(nodes, edge_map))
-    return WindowedGraph(0, T0, T0 + timedelta(days=7), nodes, edge_map, csr), nodes
 
 
 def star_edges(n):
@@ -60,8 +52,8 @@ def test_single_event_lands_in_first_window():
     cfg = TimeWindowConfig(corpus_start=T0, corpus_end=T0 + timedelta(days=14))
     graphs = build_windows(events, cfg)
     assert len(graphs) == 2
-    assert graphs[0].edges == {("a@x.com", "b@x.com"): (1, 1.0)}
-    assert graphs[1].edges == {}
+    assert edge_dict(graphs[0]) == {("a@x.com", "b@x.com"): (1, 1.0)}
+    assert edge_dict(graphs[1]) == {}
     assert graphs[1].nodes == []
 
 
@@ -69,8 +61,8 @@ def test_recipient_weights_accumulate():
     events = [mk_event("a@x.com", [("b@x.com", 1.0), ("c@x.com", 0.5)], hours=1)]
     cfg = TimeWindowConfig(corpus_start=T0, corpus_end=T0 + timedelta(days=7))
     (g,) = build_windows(events, cfg)
-    assert g.edges[("a@x.com", "b@x.com")] == (1, 1.0)
-    assert g.edges[("a@x.com", "c@x.com")] == (1, 0.5)
+    assert edge_dict(g)[("a@x.com", "b@x.com")] == (1, 1.0)
+    assert edge_dict(g)[("a@x.com", "c@x.com")] == (1, 0.5)
 
 
 def test_sliding_windows_event_membership_matches_enumeration():
@@ -88,7 +80,7 @@ def test_sliding_windows_event_membership_matches_enumeration():
 
     events = [mk_event("a@x.com", ["b@x.com"], hours=240)]
     graphs = build_windows(events, cfg)
-    populated = [g.window_index for g in graphs if g.edges]
+    populated = [g.window_index for g in graphs if len(g.edges)]
     assert populated == expected
 
 
@@ -103,8 +95,8 @@ def test_window_isolation_under_added_edge():
     extra = base + [mk_event("c@x.com", ["d@x.com"], hours=10 * 24)]
     before = build_windows(base, cfg)
     after = build_windows(extra, cfg)
-    assert before[0].edges == after[0].edges
-    assert before[2].edges == after[2].edges
+    assert edge_dict(before[0]) == edge_dict(after[0])
+    assert edge_dict(before[2]) == edge_dict(after[2])
 
 
 def test_invalid_window_config():
@@ -129,7 +121,7 @@ def test_event_membership_matches_span_arithmetic(length, step, offset):
     )
     event = mk_event("a@x.com", ["b@x.com"], hours=offset)
     graphs = build_windows([event], cfg)
-    populated = {g.window_index for g in graphs if g.edges}
+    populated = {g.window_index for g in graphs if len(g.edges)}
     expected = {
         i for i, (lo, hi) in enumerate(window_spans(cfg))
         if lo <= event.timestamp < hi
@@ -142,35 +134,35 @@ def test_event_membership_matches_span_arithmetic(length, step, offset):
 # ---------------------------------------------------------------------------
 
 def test_betweenness_path():
-    g, nodes = make_graph(3, [(0, 1), (1, 2)])
+    g = make_graph(3, [(0, 1), (1, 2)])
     c = betweenness_centrality(g)
-    assert c[nodes[1]] == 1.0
-    assert c[nodes[0]] == c[nodes[2]] == 0.0
+    assert c[g.nodes[1]] == 1.0
+    assert c[g.nodes[0]] == c[g.nodes[2]] == 0.0
 
 
 def test_betweenness_four_cycle_derived():
-    g, nodes = make_graph(4, cycle_edges(4))
+    g = make_graph(4, cycle_edges(4))
     c = betweenness_centrality(g)
-    for v in nodes:
+    for v in g.nodes:
         assert c[v] == pytest.approx(1 / 6, abs=1e-12)
 
 
 def test_betweenness_star():
-    g, nodes = make_graph(5, star_edges(5))
+    g = make_graph(5, star_edges(5))
     c = betweenness_centrality(g)
-    assert c[nodes[0]] == 1.0
-    assert all(c[v] == 0.0 for v in nodes[1:])
+    assert c[g.nodes[0]] == 1.0
+    assert all(c[v] == 0.0 for v in g.nodes[1:])
 
 
 def test_betweenness_degenerate():
-    g, _ = make_graph(1, [])
+    g = make_graph(1, [])
     with pytest.raises(DegenerateWindowError):
         betweenness_centrality(g)
 
 
 def test_betweenness_n2_is_zero():
-    g, nodes = make_graph(2, [(0, 1)])
-    assert betweenness_centrality(g) == {nodes[0]: 0.0, nodes[1]: 0.0}
+    g = make_graph(2, [(0, 1)])
+    assert betweenness_centrality(g) == {g.nodes[0]: 0.0, g.nodes[1]: 0.0}
 
 
 @pytest.mark.parametrize("edges", [[], [(0, 1)], [(1, 0)]], ids=["apart", "ab", "ba"])
@@ -179,21 +171,21 @@ def test_betweenness_n2_skips_the_kernel(monkeypatch, edges):
         raise AssertionError("kernel called for n == 2")
 
     monkeypatch.setattr(graph._kernel, "brandes_accumulate", no_kernel)
-    g, nodes = make_graph(2, edges)
+    g = make_graph(2, edges)
     result = betweenness_centrality(g)
-    assert result == {nodes[0]: 0.0, nodes[1]: 0.0}
-    assert list(result) == nodes
+    assert result == {g.nodes[0]: 0.0, g.nodes[1]: 0.0}
+    assert list(result) == g.nodes
 
 
 def test_edgeless_graph_all_zero():
-    g, nodes = make_graph(4, [])
+    g = make_graph(4, [])
     assert set(betweenness_centrality(g).values()) == {0.0}
     assert group_centralization(betweenness_centrality(g)) == 0.0
 
 
 def kernel_scores(kernel, n, edges):
     """Ordered-pair scores of `kernel` on the graph over nodes 0..n-1."""
-    indptr, indices = make_graph(n, edges)[0].csr
+    indptr, indices = make_graph(n, edges).csr
     return list(kernel(indptr, indices, n))
 
 
@@ -208,7 +200,7 @@ def test_betweenness_matches_brute_force_random_graphs(kernel):
             for b in range(a + 1, n)
             if rng.random() < rng.choice([0.2, 0.4, 0.7])
         }
-        indptr, indices = make_graph(n, edges)[0].csr
+        indptr, indices = make_graph(n, edges).csr
         scores = kernel(indptr, indices, n)
         normalized = [s / ((n - 1) * (n - 2)) for s in scores]
         expected = brute_betweenness(n, edges)
@@ -283,7 +275,7 @@ def test_kernel_matches_loop_brandes_across_several_blocks():
 
 
 def adjacency_of(n, edges):
-    return (*make_graph(n, edges)[0].csr, n)
+    return (*make_graph(n, edges).csr, n)
 
 
 @st.composite
@@ -362,7 +354,7 @@ def test_betweenness_values_in_unit_interval_fuzz():
         edges = {
             (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3
         }
-        g, _ = make_graph(n, edges)
+        g = make_graph(n, edges)
         for value in betweenness_centrality(g).values():
             assert 0.0 <= value <= 1.0
 
@@ -379,13 +371,13 @@ each_centrality = pytest.mark.parametrize(
 
 @each_centrality
 def test_star_centralization_is_one(centrality):
-    g, _ = make_graph(5, star_edges(5))
+    g = make_graph(5, star_edges(5))
     assert group_centralization(centrality(g)) == pytest.approx(1.0, abs=1e-12)
 
 
 @each_centrality
 def test_cycle_centralization_is_zero(centrality):
-    g, _ = make_graph(5, cycle_edges(5))
+    g = make_graph(5, cycle_edges(5))
     assert group_centralization(centrality(g)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -406,12 +398,12 @@ def test_centralization_invariant_under_relabeling():
         edges = {
             (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4
         }
-        g, nodes = make_graph(n, edges)
+        g = make_graph(n, edges)
         value = group_centralization(betweenness_centrality(g))
 
         perm = list(range(n))
         rng.shuffle(perm)
         relabeled = {(perm[a], perm[b]) for a, b in edges}
-        g2, _ = make_graph(n, relabeled)
+        g2 = make_graph(n, relabeled)
         value2 = group_centralization(betweenness_centrality(g2))
         assert value == pytest.approx(value2, abs=1e-12)

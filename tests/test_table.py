@@ -4,14 +4,16 @@ its stages against the event-object walks."""
 import csv
 import io
 import math
+import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgsignals.graph import TimeWindowConfig, build_windows
+from orgsignals.graph import TimeWindowConfig, build_windows, write_window_csv
 from orgsignals.ingest import (
     EVENT_CSV_COLUMNS,
     EventSchemaError,
@@ -30,6 +32,7 @@ from orgsignals.table import EventTable, stamp_us
 
 from conftest import T0, mk_event
 from oracles import (
+    edge_dict,
     loop_actor_activity,
     loop_honest_sentiment,
     loop_read_event_csv,
@@ -83,10 +86,10 @@ def test_columnar_stages_match_event_walks(events, length, step):
     assert len(graphs) == len(expected)
     for g, (nodes, edges) in zip(graphs, expected):
         assert g.nodes == nodes
-        assert len(g.edges) == len(edges) and dict(g.edges) == edges
+        assert len(g.edges) == len(edges) and edge_dict(g) == edges
         want = loop_symmetrized_csr(nodes, edges)
         assert np.array_equal(g.csr[0], want[0]) and np.array_equal(g.csr[1], want[1])
-    assert _window_ci_vectors(EventTable.from_events(ordered), graphs) == [
+    assert _window_ci_vectors(graphs) == [
         loop_contribution_indices(
             [e for e in ordered if g.window_start <= e.timestamp < g.window_end])
         for g in graphs
@@ -109,9 +112,28 @@ def test_windows_of_an_event_list_are_those_of_its_table(events):
     want = build_windows(EventTable.from_events(ordered), cfg)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert (g.window_index, g.window_start, g.window_end, g.nodes, dict(g.edges)) == (
-            w.window_index, w.window_start, w.window_end, w.nodes, dict(w.edges))
+        assert (g.window_index, g.window_start, g.window_end, g.nodes, edge_dict(g)) == (
+            w.window_index, w.window_start, w.window_end, w.nodes, edge_dict(w))
         assert all(np.array_equal(a, b) for a, b in zip(g.csr, w.csr))
+
+
+@given(event_lists(), st.integers(1, 30), st.integers(1, 30))
+@settings(max_examples=50, deadline=None)
+def test_window_csv_rows_are_the_event_walk_edges_by_address(events, length, step):
+    # write_window_csv writes the stored edge order, which must be address order
+    ordered = sorted(events, key=lambda e: e.timestamp)
+    cfg = TimeWindowConfig(timedelta(hours=length), timedelta(hours=step), T0,
+                           T0 + timedelta(hours=70))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "windows.csv"
+        write_window_csv(build_windows(EventTable.from_events(ordered), cfg), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    assert rows == [["window_index", "src", "dst", "count", "weight_sum"]] + [
+        [str(index), src, dst, str(count), repr(total)]
+        for index, (_, edges) in enumerate(loop_windows(ordered, cfg))
+        for (src, dst), (count, total) in sorted(edges.items())
+    ]
 
 
 def test_content_counts_copy_no_whole_token_column():
