@@ -12,6 +12,7 @@ anywhere else, it is an internal fault.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import re
@@ -26,7 +27,7 @@ from . import calibrate as cal
 from . import ingest as ing
 from . import signals as sig
 from . import synth
-from .graph import TimeWindowConfig, build_windows, write_window_csv
+from .graph import TimeWindowConfig, WindowPool
 from .table import stamp_datetime, stamp_us
 
 log = logging.getLogger("orgsignals")
@@ -38,10 +39,11 @@ class CliError(Exception):
 
 @contextmanager
 def _reading_input():
-    """Report a value that cannot be read or is out of range as a CliError."""
+    """Report a value that cannot be read or is out of range, or a CSV
+    file that cannot be parsed, as a CliError."""
     try:
         yield
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, csv.Error) as exc:
         raise CliError(str(exc)) from exc
 
 
@@ -249,33 +251,36 @@ def cmd_analyze(args) -> int:
             elif first < last:
                 streams[unit] = events.take(rows[first:last])
 
-    window_paths: dict[str, Path] = {}  # unit -> its --debug-windows file
-    if args.debug_windows:  # refuse an existing or shared file before any record is computed
-        owners: dict[str, str] = {}  # file name -> unit
-        for unit in sorted(streams):
-            name = f"windows_{_safe_name(unit)}.csv"
-            if owners.setdefault(name, unit) != unit:
-                raise CliError(f"--debug-windows: units {owners[name]!r} and {unit!r} share {name}")
-            window_paths[unit] = _out_path(args.out_dir, name, args.force)
-
     if args.period == "monthly":
         periods = _month_periods(corpus_start, corpus_end)
     else:
         periods = [(corpus_start, corpus_end)]
-
-    records = []
+    jobs = []  # (unit, period) of each record, in output order
     for unit in sorted(streams):
         stream = streams[unit]
         for start, end in periods:
             first = np.searchsorted(stream.stamp_us, stamp_us(start))
-            if first == len(stream) or stream.stamp_us[first] >= stamp_us(end):
-                continue  # no events in this period
-            records.append(sig.compute_signal_record(
-                unit, (start, end), stream, window_cfg, lexicon,
-                members=members[unit], response_horizon=horizon,
-            ))
-        if unit in window_paths:
-            write_window_csv(build_windows(stream, window_cfg), window_paths[unit])
+            if first < len(stream) and stream.stamp_us[first] < stamp_us(end):
+                jobs.append((unit, (start, end)))
+
+    window_paths: dict[tuple, Path | None] = dict.fromkeys(jobs)  # --debug-windows files
+    if args.debug_windows:  # refuse an existing or shared file before any record is computed
+        owners: dict[str, str] = {}  # file name -> unit
+        for unit, (start, end) in jobs:
+            month = f"_{start:%Y-%m}" if args.period == "monthly" else ""
+            name = f"windows_{_safe_name(unit)}{month}.csv"
+            if owners.setdefault(name, unit) != unit:
+                raise CliError(f"--debug-windows: units {owners[name]!r} and {unit!r} share {name}")
+            window_paths[unit, (start, end)] = _out_path(args.out_dir, name, args.force)
+
+    with WindowPool() as pool:
+        records = [
+            sig.compute_signal_record(
+                unit, period, streams[unit], window_cfg, lexicon, members=members[unit],
+                response_horizon=horizon, pool=pool, windows_path=window_paths[unit, period],
+            )
+            for unit, period in jobs
+        ]
 
     sig.write_signals_csv(records, signals_path)
     log.info("analyze: wrote %d signal rows for %d units", len(records), len(members))
@@ -393,7 +398,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_ana.add_argument("--include-external", action="store_true",
                        help="also report the reserved _external unit")
     p_ana.add_argument("--debug-windows", action="store_true",
-                       help="emit per-window edge lists per unit")
+                       help="emit per-window edge lists per unit (and month, "
+                            "with --period monthly)")
     p_ana.set_defaults(func=cmd_analyze)
 
     p_cal = sub.add_parser("calibrate", parents=[common],

@@ -31,6 +31,7 @@ import hashlib
 import html
 import os
 import re
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -741,6 +742,16 @@ def _recipient_items(raw: str, lineno: int) -> list[tuple[str, float]]:
     return items
 
 
+@contextlib.contextmanager
+def _csv_field_limit(limit: int):
+    """Set csv's limit on the length of a field to `limit` for the block."""
+    previous = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(previous)
+
+
 def read_event_csv(path: str | Path) -> EventTable:
     """Read the canonical event CSV into an EventTable, rows in file order.
 
@@ -755,7 +766,9 @@ def read_event_csv(path: str | Path) -> EventTable:
     and weights: a later row with that cell checks only that its sender
     is not among them.  A row's message id must not be empty, but the
     message id, reply link and subject are not kept: no analyze stage
-    reads them.
+    reads them.  A cell may be of any length: a tokens cell holds a
+    whole message body, which can pass csv's default limit of 131,072
+    characters.
     """
     from .table import _EPOCH, _MICROSECOND, _TableBuilder  # here: pool workers load no numpy
     table = _TableBuilder()
@@ -787,7 +800,7 @@ def read_event_csv(path: str | Path) -> EventTable:
         found = recipient_lists[raw] = [actor(a) for a, _ in items], [w for _, w in items]
         return found
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _csv_field_limit(sys.maxsize), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != EVENT_CSV_COLUMNS:

@@ -33,9 +33,11 @@ import numpy as np
 
 from .graph import (
     TimeWindowConfig,
-    betweenness_centrality,
+    WindowPool,
     build_windows,
     group_centralization,
+    window_betweenness,
+    write_window_csv,
 )
 from .table import EventTable, stamp_datetime, stamp_us
 
@@ -344,11 +346,18 @@ def honest_sentiment(table: EventTable, lexicon: LexiconConfig) -> float:
         counted += int(running[-1])
     lengths = np.diff(indptr)
     messages = np.flatnonzero(lengths)
-    values = (np.diff(before)[messages] / lengths[messages]).tolist()
-    if len(values) < 2:
+    ratios = np.diff(before)[messages] / lengths[messages]
+    if len(ratios) < 2:
         raise PreconditionError("insufficient messages")
-    mean = math.fsum(values) / len(values)
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+
+    def values():
+        # Python floats a slice at a time: a list of them all would set
+        # the peak memory of analyze
+        for lo in range(0, len(ratios), _TOKEN_SLICE):
+            yield from ratios[lo:lo + _TOKEN_SLICE].tolist()
+
+    mean = math.fsum(values()) / len(ratios)
+    return math.sqrt(math.fsum((v - mean) ** 2 for v in values()) / len(ratios))
 
 
 def jensen_shannon_divergence(p: dict[str, float], q: dict[str, float]) -> float:
@@ -413,6 +422,8 @@ def compute_signal_record(
     lexicon: LexiconConfig,
     members: set[str] | None = None,
     response_horizon: timedelta = DEFAULT_RESPONSE_HORIZON,
+    pool: WindowPool | None = None,
+    windows_path: str | Path | None = None,
 ) -> SignalRecord:
     """Populate a SignalRecord for one unit's event stream over one period.
 
@@ -421,6 +432,10 @@ def compute_signal_record(
     actor-level aggregates to the unit roster; without it every actor
     appearing in the stream is aggregated.  Sub-signals whose
     preconditions fail are left missing, never zeroed.
+
+    The period's large windows are scored on `pool`'s workers while the
+    content and reply signals are computed here.  With `windows_path`,
+    the period's windows are written there by `write_window_csv`.
     """
     start, end = period
     if end <= start:
@@ -434,35 +449,14 @@ def compute_signal_record(
     record = SignalRecord(unit=unit, period_start=start, period_end=end)
 
     graphs = build_windows(events, replace(window_cfg, corpus_start=start, corpus_end=end))
-
-    # structure: mean betweenness centralization over computable windows
-    centralizations = []
-    betweenness_series: list[dict[str, float]] = []
-    for g in graphs:
-        if g.n >= 2:
-            vector = betweenness_centrality(g)
-            betweenness_series.append(vector)
-            if g.n >= 3:
-                centralizations.append(group_centralization(vector))
-        else:
-            betweenness_series.append({})
-    if centralizations:
-        record.central_leadership = math.fsum(centralizations) / len(centralizations)
+    scored = window_betweenness(graphs, pool)
+    if windows_path is not None:
+        write_window_csv(graphs, windows_path)
 
     try:
         record.balanced_contribution = balanced_contribution(events, members)
     except PreconditionError:
         pass
-
-    # dynamics: oscillation rates need at least three window positions
-    if len(graphs) >= 3:
-        ci_series = _window_ci_vectors(graphs)
-        seen = {a for w in betweenness_series for a in w} | {a for w in ci_series for a in w}
-        pool = seen if members is None else members & seen
-        if pool:
-            rate_b, rate_ci = rotating_leadership(betweenness_series, ci_series, pool)
-            record.rotating_leadership = rate_b
-            record.rotating_leadership_ci = rate_ci
 
     responses = extract_response_events(events, response_horizon)
     if members is not None:
@@ -482,6 +476,23 @@ def compute_signal_record(
     if counts and lexicon.reference_dictionary:
         record.innovative_language = innovative_language(counts, lexicon.reference_dictionary)
         record.oov_rate = out_of_vocabulary_rate(counts, lexicon.reference_dictionary)
+
+    # structure: mean betweenness centralization over computable windows
+    betweenness_series = scored()
+    centralizations = [group_centralization(vector)
+                       for g, vector in zip(graphs, betweenness_series) if g.n >= 3]
+    if centralizations:
+        record.central_leadership = math.fsum(centralizations) / len(centralizations)
+
+    # dynamics: oscillation rates need at least three window positions
+    if len(graphs) >= 3:
+        ci_series = _window_ci_vectors(graphs)
+        seen = {a for w in betweenness_series for a in w} | {a for w in ci_series for a in w}
+        actors = seen if members is None else members & seen
+        if actors:
+            rate_b, rate_ci = rotating_leadership(betweenness_series, ci_series, actors)
+            record.rotating_leadership = rate_b
+            record.rotating_leadership_ci = rate_ci
     return record
 
 

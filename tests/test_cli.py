@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import orgsignals
 from orgsignals.cli import main
-from orgsignals.graph import TimeWindowConfig
+from orgsignals.graph import TimeWindowConfig, build_windows, write_window_csv
 from orgsignals.ingest import EXTERNAL_UNIT, read_unit_csv, write_event_csv
 from orgsignals.signals import compute_signal_record, load_lexicon
 from orgsignals.table import EventTable
@@ -568,6 +569,28 @@ def test_ingest_dedups_across_archives(tmp_path):
     assert (out / "events.csv").read_text().count("\n") == 2
 
 
+def test_analyze_reads_a_long_mail_that_ingest_wrote(tmp_path):
+    # one 30,000-word body: its tokens cell passes csv's default field limit
+    mbox = tmp_path / "in.mbox"
+    body = "\n".join(" ".join(["update"] * 10) for _ in range(3000))
+    make_mbox(mbox, [(BASE_HEADERS, body)])
+    out = tmp_path / "out"
+    assert run(["ingest", mbox, "--out-dir", out]) == 0
+    assert (out / "events.csv").stat().st_size > 131072
+    assert run(["analyze", "--events", out / "events.csv", "--out-dir", tmp_path / "o"]) == 0
+    assert (tmp_path / "o" / "signals.csv").read_text().count("\n") == 2
+
+
+def test_analyze_unit_csv_with_an_oversized_field_exits_one(tmp_path, capsys):
+    events, units = tmp_path / "events.csv", tmp_path / "units.csv"
+    write_event_csv([mk_event("a@x.com", ["b@x.com"], hours=0)], events)
+    units.write_text("address,unit\na@x.com," + "u" * 200000 + "\n")
+    out = tmp_path / "o"
+    assert run(["analyze", "--events", events, "--units", units, "--out-dir", out]) == 1
+    assert capsys.readouterr().err.startswith("error: field larger than field limit")
+    assert not (out / "signals.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # unit grouping, hash-seed independence, import footprint
 # ---------------------------------------------------------------------------
@@ -612,7 +635,7 @@ def mixed_args(bundle, out):
 
 def test_analyze_interleaved_units_match_filtered_streams(tmp_path, mixed_bundle):
     out = tmp_path / "analysis"
-    assert run(mixed_args(mixed_bundle, out)) == 0
+    assert run([*mixed_args(mixed_bundle, out), "--debug-windows"]) == 0
     with open(out / "signals.csv", newline="") as fh:
         got = list(csv.reader(fh))[1:]
 
@@ -637,7 +660,7 @@ def test_analyze_interleaved_units_match_filtered_streams(tmp_path, mixed_bundle
     periods = [(month[0], month[1]), (month[1], month[2]),
                (month[2], datetime(2024, 3, 16, tzinfo=timezone.utc))]
     cfg = TimeWindowConfig(timedelta(days=7), timedelta(days=7))
-    expected = []
+    expected, windows = [], {}
     for unit in sorted(streams):
         for start, end in periods:
             part = [e for e in streams[unit] if start <= e.timestamp < end]
@@ -647,8 +670,77 @@ def test_analyze_interleaved_units_match_filtered_streams(tmp_path, mixed_bundle
                     members=members[unit],
                     response_horizon=timedelta(hours=48),
                 ).as_row())
+                # --debug-windows writes the windows of each record's month
+                path = tmp_path / f"windows_{unit}_{start:%Y-%m}.csv"
+                write_window_csv(build_windows(EventTable.from_events(part), TimeWindowConfig(
+                    cfg.window_length, cfg.step, start, end)), path)
+                windows[path.name] = path.read_bytes()
     assert len(expected) == 4 * 3
     assert got == expected
+    assert {p.name: p.read_bytes() for p in out.glob("windows_*")} == windows
+    assert len(set(windows.values())) == len(windows)  # no two months' windows alike
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Send every window of more than 2 nodes to the pool, with `cpus`
+    usable CPUs; returns the number of windows sent per record."""
+    sent = []
+    submit = orgsignals.graph.WindowPool.submit
+
+    def counted(self, graphs):
+        futures = submit(self, graphs)
+        sent.append(sum(f is not None for f in futures))
+        return futures
+
+    def setup(cpus):
+        monkeypatch.setattr(orgsignals.graph, "_POOLED_NODES", 2)
+        monkeypatch.setattr(orgsignals.ingest, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(orgsignals.graph.WindowPool, "submit", counted)
+        sent.clear()
+        return sent
+
+    return setup
+
+
+def test_analyze_pool_gives_the_same_bytes(tmp_path, mixed_bundle, pooled):
+    outputs = []
+    for cpus in (None, 2, 1):
+        out = tmp_path / f"cpus{cpus}"
+        sent = pooled(cpus) if cpus else []
+        assert run([*mixed_args(mixed_bundle, out), "--debug-windows"]) == 0
+        assert not multiprocessing.active_children()
+        if cpus == 2:
+            assert sum(sent) > 0
+        elif cpus == 1:
+            assert sent and not any(sent)
+        outputs.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("fault", ["raise", "exit"])
+def test_analyze_worker_fault_exits_two(tmp_path, mixed_bundle, pooled, monkeypatch, capsys,
+                                        fault):
+    parent = os.getpid()
+    kernel = orgsignals._betweenness_py.brandes_accumulate
+
+    def broken(*args):
+        if os.getpid() != parent:
+            if fault == "exit":
+                os._exit(3)
+            raise RuntimeError("kernel fault")
+        return kernel(*args)
+
+    # the workers are forked after this, so they run the broken kernel
+    monkeypatch.setattr(orgsignals._betweenness_py, "brandes_accumulate", broken)
+    sent = pooled(2)
+    assert run(mixed_args(mixed_bundle, tmp_path / "o")) == 2
+    assert sum(sent) > 0
+    assert not multiprocessing.active_children()
+    err = capsys.readouterr().err
+    assert "internal error: " in err
+    if fault == "raise":
+        assert "kernel fault" in err
 
 
 def package_env(**extra):
@@ -711,14 +803,17 @@ def test_traced_targets_resolve_after_cli_import():
     assert result.stdout == ""  # one line per target that does not resolve
 
 
-def test_traced_analyze_counts_the_window_edges(tmp_path, scenario_file):
-    # perfbench/run.py --trace 1 reads build_windows' result through these counters
+def traced_analyze(tmp_path, scenario_file, setup=""):
+    """Run `analyze` on the star bundle under perfbench's Tracer, after the
+    statements `setup`; returns the exit code, the layer metrics and the
+    window edge lists of oracles.loop_windows."""
     bundle = simulate(tmp_path, scenario_file)
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     probe = (
         "import json, sys, orgsignals.cli\n"
         f"sys.path.insert(0, {str(perfbench)!r})\n"
         "from tracer import Tracer, layer_metrics\n"
+        f"{setup}"
         "tracer = Tracer()\n"
         "tracer.install()\n"
         "code = orgsignals.cli.main(sys.argv[1:])\n"
@@ -728,10 +823,33 @@ def test_traced_analyze_counts_the_window_edges(tmp_path, scenario_file):
     args = ["analyze", "--events", bundle / "events.csv", "--out-dir", tmp_path / "out",
             "--corpus-start", start.isoformat(), "--corpus-end", end.isoformat()]
     result = subprocess.run([sys.executable, "-c", probe, *map(str, args)],
-                            env=package_env(), check=True, capture_output=True, text=True)
+                            env=package_env(), check=True, capture_output=True, text=True,
+                            timeout=120)
     code, metrics = json.loads(result.stdout.splitlines()[-1])
     events = sorted(loop_read_event_csv(bundle / "events.csv"), key=lambda e: e.timestamp)
-    windows = loop_windows(events, TimeWindowConfig(corpus_start=start, corpus_end=end))
+    return code, metrics, loop_windows(events, TimeWindowConfig(corpus_start=start,
+                                                                corpus_end=end))
+
+
+def test_traced_analyze_counts_the_window_edges(tmp_path, scenario_file):
+    # perfbench/run.py --trace 1 reads build_windows' result through these counters
+    code, metrics, windows = traced_analyze(tmp_path, scenario_file)
     assert code == 0
     assert metrics["graph.windows"] == len(windows) == 5
     assert metrics["graph.window_edges"] == sum(len(edges) for _, edges in windows) > 0
+
+
+def test_traced_analyze_with_the_pool(tmp_path, scenario_file):
+    # the traced kernel is a closure: the pool must send a function that
+    # looks the kernel up in the worker
+    code, metrics, windows = traced_analyze(tmp_path, scenario_file, (
+        "import orgsignals.graph, orgsignals.ingest\n"
+        "orgsignals.graph._POOLED_NODES = 2\n"
+        "orgsignals.ingest._usable_cpus = lambda: 2\n"
+    ))
+    assert code == 0
+    assert metrics["graph.windows"] == len(windows) == 5
+    assert metrics["graph.window_edges"] == sum(len(edges) for _, edges in windows) > 0
+    # every window of the star has 5 nodes, so the kernel ran in the workers only
+    assert metrics["betweenness_py.brandes_s"] == 0
+    assert metrics["graph.betweenness_centrality.calls"] == 0
