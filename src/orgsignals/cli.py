@@ -4,9 +4,9 @@ Every command takes a key = value config file whose keys are the
 command's option names (explicit flags win), writes only under
 --out-dir, and refuses to overwrite existing outputs without --force.
 Exit codes: 0 success, 1 user/input error (usage errors included), 2
-internal invariant violation.  A ValueError counts as bad input only
-where it comes from reading the user's inputs and options; raised
-anywhere else, it is an internal fault.
+internal invariant violation, 143 terminated by SIGTERM.  A ValueError
+counts as bad input only where it comes from reading the user's inputs
+and options; raised anywhere else, it is an internal fault.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import csv
 import json
 import logging
 import re
+import signal
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
@@ -424,6 +425,8 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(message)s")
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
+    # SIGTERM unwinds like SIGINT, through the `with` blocks that join workers
+    previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     try:
         args = parser.parse_args(argv)
         if args.config:
@@ -437,6 +440,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # invariant violation: anything unexpected
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ ones on the worker processes of a `WindowPool`.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -26,6 +25,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from . import _betweenness_py as _kernel
+from . import _workers
 from .ingest import MessageEvent
 from .table import EventTable, concat_ranges, stamp_us
 
@@ -241,43 +241,25 @@ _POOLED_NODES = _kernel.SOURCE_BLOCK
 class WindowPool:
     """Worker processes that score windows of more than `_POOLED_NODES` nodes.
 
-    There is one worker per usable CPU, forked at the first `submit` that
-    has at least two such windows; with one usable CPU, where `fork` is not
-    a start method, or before Python 3.11, `submit` leaves every window to
-    the caller.  The workers are forked, not started fresh: a fresh
-    process runs with glibc's default malloc thresholds, so the kernel's
-    (n, 128) arrays go back to the system and fault in again page by
-    page, where a forked worker keeps the thresholds the parent has
-    raised.  Forking is safe here: `analyze` starts no
-    thread, the kernel makes no call into numpy's BLAS threads, and since
-    Python 3.11 the executor forks every worker before it starts its
-    manager thread.  A task sends only a window's CSR, and the scores come
-    back in window order, so they are those of the calling process bit
-    for bit.  `close`, or leaving the pool as a context manager, joins the
-    workers.
+    There is one worker per usable CPU, forked by `_workers.fork_pool` at
+    the first `submit` that has at least two such windows; where there
+    can be no pool, `submit` leaves every window to the caller.  A task
+    sends only a window's CSR, and the scores come back in window order,
+    so they are those of the calling process bit for bit.  `close`, or
+    leaving the pool as a context manager, joins the workers.
     """
 
     def __init__(self):
-        import multiprocessing
-
-        from .ingest import _usable_cpus
-
-        forks = "fork" in multiprocessing.get_all_start_methods() and sys.version_info >= (3, 11)
         self._executor = None
-        self._workers = _usable_cpus() if forks else 1
 
     def submit(self, graphs: list[WindowedGraph]) -> list:
         """A future of each window's `_betweenness_scores` sent to the
         workers, None for a window left to the caller, in window order."""
         large = [g.n > _POOLED_NODES for g in graphs]
+        if self._executor is None and sum(large) >= 2:
+            self._executor = _workers.fork_pool(_workers.usable_cpus())
         if self._executor is None:
-            if self._workers < 2 or sum(large) < 2:
-                return [None] * len(graphs)
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(
-                self._workers, mp_context=multiprocessing.get_context("fork"))
+            return [None] * len(graphs)
         return [self._executor.submit(_betweenness_scores, *g.csr, g.n) if big else None
                 for g, big in zip(graphs, large)]
 

@@ -19,7 +19,8 @@ so later pipeline stages never re-parse mail.
 `read_event_csv` reads that CSV into an `orgsignals.table.EventTable`,
 checking each row once; the first fault names its row and column.  The
 table keeps no message id, reply link or subject.  Only the reader
-imports numpy (through `table`), so the pool workers never load numpy.
+imports numpy (through `table`), so a command that only ingests need not
+load it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import csv
 import email
 import hashlib
 import html
-import os
 import re
 import sys
 from collections.abc import Iterator
@@ -42,7 +42,9 @@ from io import StringIO
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # the table module loads numpy, which the pool workers never need
+from . import _workers
+
+if TYPE_CHECKING:  # the table module loads numpy, which ingesting never needs
     from .table import EventTable
 
 EVENT_CSV_COLUMNS = [
@@ -617,14 +619,6 @@ def _parse_piece(
     return skipped, events
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _pieces(
     paths: list[Path], sizes: list[int], piece_bytes: int
 ) -> list[tuple[str, int, int]]:
@@ -647,12 +641,10 @@ def parse_mbox(
     Each archive is cut into byte ranges (`_mbox_messages`), about
     `_PIECES_PER_WORKER` per worker, and a pool of worker processes, at
     most one per usable CPU and one per `_MIN_PIECE_BYTES` of input,
-    converts them; with one worker the ranges are converted in this
-    process.  Results are taken back in file order, so the events and
-    counts do not depend on the number of workers.  The workers are
-    started with "forkserver" (or "spawn"), so they import the main
-    module afresh: a script that calls this on a large corpus must
-    guard its entry point with `if __name__ == "__main__":`.
+    converts them; with one worker, or where `_workers.fork_pool` gives
+    no pool, the ranges are converted in this process.  Results are
+    taken back in file order, so the events and counts do not depend on
+    the number of workers.
 
     Malformed messages (missing Date/From, no usable recipients, out of the
     configured date range) are skipped and counted, never fatal.  Duplicate
@@ -668,25 +660,15 @@ def parse_mbox(
             raise FileNotFoundError(f"mbox file not found: {path}")
 
     sizes = [path.stat().st_size for path in paths]
-    workers = max(1, min(_usable_cpus(), sum(sizes) // _MIN_PIECE_BYTES))
+    workers = max(1, min(_workers.usable_cpus(), sum(sizes) // _MIN_PIECE_BYTES))
     pieces = _pieces(paths, sizes,
                      max(_MIN_PIECE_BYTES, sum(sizes) // (_PIECES_PER_WORKER * workers)))
     events: list[MessageEvent] = []
     seen_ids: set[str] = set()
     with contextlib.ExitStack() as stack:
-        if workers > 1 and len(pieces) > 1:
-            # imported here: only a large corpus needs them
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # a fresh process per worker: fork would copy this one's threads
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "forkserver" if "forkserver" in methods else "spawn")
-            pool = stack.enter_context(ProcessPoolExecutor(
-                workers, context,
-                initializer=_start_worker, initargs=(config,),
-            ))
+        pool = _workers.fork_pool(workers, _start_worker, (config,)) if len(pieces) > 1 else None
+        if pool is not None:
+            stack.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(_parse_piece, pieces)
         else:
             state = config, _Memo(config.aliases)
@@ -770,7 +752,7 @@ def read_event_csv(path: str | Path) -> EventTable:
     whole message body, which can pass csv's default limit of 131,072
     characters.
     """
-    from .table import _EPOCH, _MICROSECOND, _TableBuilder  # here: pool workers load no numpy
+    from .table import _EPOCH, _MICROSECOND, _TableBuilder  # here: ingesting loads no numpy
     table = _TableBuilder()
     # bound methods and locals: the loop body runs once per row
     actor_ids, actor, word_id = table.actor_ids, table.actor, table.word_ids.__getitem__

@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -32,3 +33,10 @@ def mk_event(sender, recipients, hours=0.0, message_id=None, tokens=(),
 @pytest.fixture
 def t0():
     return T0
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Fail a test that leaves a worker process of this one running."""
+    yield
+    assert not multiprocessing.active_children()

@@ -4,8 +4,10 @@ import csv
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -20,7 +22,8 @@ from orgsignals.table import EventTable
 
 from conftest import T0, mk_event
 from oracles import loop_read_event_csv, loop_windows
-from test_ingest import BASE_HEADERS, make_mbox, write_second_stamp
+from test_ingest import (BASE_HEADERS, exit_in_workers, integration_mbox, make_mbox,
+                         use_pool_of_small_pieces, varied_mbox, write_second_stamp)
 
 
 def run(args):
@@ -695,7 +698,7 @@ def pooled(monkeypatch):
 
     def setup(cpus):
         monkeypatch.setattr(orgsignals.graph, "_POOLED_NODES", 2)
-        monkeypatch.setattr(orgsignals.ingest, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(orgsignals._workers, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(orgsignals.graph.WindowPool, "submit", counted)
         sent.clear()
         return sent
@@ -743,6 +746,19 @@ def test_analyze_worker_fault_exits_two(tmp_path, mixed_bundle, pooled, monkeypa
         assert "kernel fault" in err
 
 
+def test_ingest_worker_death_exits_two(tmp_path, monkeypatch, capsys):
+    mbox = tmp_path / "one.mbox"
+    varied_mbox(mbox, "<first@x.com>")
+    use_pool_of_small_pieces(monkeypatch)
+    exit_in_workers(monkeypatch)
+    out = tmp_path / "out"
+    assert run(["ingest", mbox, "--out-dir", out]) == 2
+    assert not (out / "events.csv").exists()
+    assert not (out / "ingest_report.json").exists()
+    assert not multiprocessing.active_children()
+    assert "internal error: " in capsys.readouterr().err
+
+
 def package_env(**extra):
     """The environment of a child interpreter that imports this orgsignals."""
     src = str(Path(orgsignals.__file__).resolve().parents[1])
@@ -771,8 +787,8 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_ingest_import_leaves_scipy_and_graph_unloaded():
-    # each ingest pool worker imports only this much of the package, and
-    # unpickles the function it runs from there
+    # so that a command that only ingests need not load numpy or scipy,
+    # once cli imports each command's modules where the command runs
     env = package_env()
     probe = ("import sys, orgsignals.ingest as ingest; "
              "print(ingest._parse_piece.__module__, 'numpy' in sys.modules, "
@@ -843,9 +859,9 @@ def test_traced_analyze_with_the_pool(tmp_path, scenario_file):
     # the traced kernel is a closure: the pool must send a function that
     # looks the kernel up in the worker
     code, metrics, windows = traced_analyze(tmp_path, scenario_file, (
-        "import orgsignals.graph, orgsignals.ingest\n"
+        "import orgsignals.graph, orgsignals._workers\n"
         "orgsignals.graph._POOLED_NODES = 2\n"
-        "orgsignals.ingest._usable_cpus = lambda: 2\n"
+        "orgsignals._workers.usable_cpus = lambda: 2\n"
     ))
     assert code == 0
     assert metrics["graph.windows"] == len(windows) == 5
@@ -853,3 +869,75 @@ def test_traced_analyze_with_the_pool(tmp_path, scenario_file):
     # every window of the star has 5 nodes, so the kernel ran in the workers only
     assert metrics["betweenness_py.brandes_s"] == 0
     assert metrics["graph.betweenness_centrality.calls"] == 0
+
+
+def running(pid):
+    """Whether process `pid` exists and is not a zombie, read from /proc."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+# Run a command with two pool workers, each of which records its pid in
+# the directory argv[1] and sleeps before each task: the workers are
+# forked after the patch, so only they are slowed.
+SLOW_WORKERS = (
+    "import os, sys, time, orgsignals.cli, orgsignals._workers\n"
+    "parent, pids = os.getpid(), sys.argv[1]\n"
+    "def slow(real):\n"
+    "    def task(*args):\n"
+    "        if os.getpid() != parent:\n"
+    "            open(os.path.join(pids, str(os.getpid())), 'w').close()\n"
+    "            time.sleep(0.5)\n"
+    "        return real(*args)\n"
+    "    return task\n"
+    "orgsignals._workers.usable_cpus = lambda: 2\n"
+    "{setup}"
+    "sys.exit(orgsignals.cli.main(sys.argv[2:]))\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads process states in /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+@pytest.mark.parametrize("command", ["analyze", "ingest"])
+def test_no_worker_outlives_a_signalled_command(tmp_path, mixed_bundle, command, signum):
+    if command == "analyze":
+        setup = ("import orgsignals.graph, orgsignals._betweenness_py as kernel\n"
+                 "orgsignals.graph._POOLED_NODES = 2\n"
+                 "kernel.brandes_accumulate = slow(kernel.brandes_accumulate)\n")
+        args = mixed_args(mixed_bundle, tmp_path / "out")
+    else:
+        mbox = tmp_path / "chain.mbox"
+        integration_mbox(mbox)
+        setup = ("import orgsignals.ingest as ingest\n"
+                 "ingest._MIN_PIECE_BYTES, ingest._PIECES_PER_WORKER = 300, 64\n"
+                 "ingest._mbox_messages = slow(ingest._mbox_messages)\n")
+        args = ["ingest", mbox, "--out-dir", tmp_path / "out"]
+    pids, log = tmp_path / "pids", tmp_path / "stderr.txt"
+    pids.mkdir()
+    # stderr goes to a file: a worker left running would hold a pipe open
+    with open(log, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SLOW_WORKERS.format(setup=setup), str(pids), *map(str, args)],
+            env=package_env(), stdout=subprocess.DEVNULL, stderr=err)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = [int(path.name) for path in pids.iterdir()]
+        assert len(workers) == 2, log.read_text()
+        proc.send_signal(signum)
+        signalled = time.monotonic()
+        code = proc.wait(timeout=5)
+        assert code == (143 if signum == signal.SIGTERM else -signal.SIGKILL), log.read_text()
+        while any(map(running, workers)) and time.monotonic() < signalled + 5:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(running, workers):
+            os.kill(pid, signal.SIGKILL)

@@ -32,6 +32,7 @@ from orgsignals.ingest import (
 )
 
 import orgsignals.ingest as ingest
+from orgsignals import _workers
 from orgsignals.table import EventTable
 from conftest import T0, mk_event
 from oracles import full_parse_body, loop_read_event_csv, stdlib_split_headers, table_rows
@@ -937,7 +938,7 @@ def use_pool_of_small_pieces(monkeypatch):
     """Make parse_mbox cut pieces of about 300 bytes and parse them on a
     pool of three workers, whatever the number of CPUs."""
     monkeypatch.setattr(ingest, "_MIN_PIECE_BYTES", 300)
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 3)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.pieces = []
 
@@ -1012,20 +1013,27 @@ def test_pool_matches_in_process_on_integration_corpus(tmp_path, monkeypatch):
     assert len(RecordingPool.pieces) > 3
 
 
-class ExitWhenUnpickled:
-    """Ends the process that unpickles it."""
+def exit_in_workers(monkeypatch):
+    """Make every pool worker end with exit code 3 when it reads a piece;
+    the workers are forked after this, so they run the patched reader."""
+    parent, real = os.getpid(), ingest._mbox_messages
 
-    def __reduce__(self):
-        return os._exit, (3,)
+    def exiting(*piece):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*piece)
+
+    monkeypatch.setattr(ingest, "_mbox_messages", exiting)
 
 
 def test_pool_fault_propagates_and_is_not_skipped(tmp_path, monkeypatch):
     path = tmp_path / "one.mbox"
     varied_mbox(path, "<first@x.com>")
     use_pool_of_small_pieces(monkeypatch)
+    exit_in_workers(monkeypatch)
     report = IngestReport()
     with pytest.raises(BrokenProcessPool):
-        parse_mbox(path, IngestConfig(aliases={"a@x.com": ExitWhenUnpickled()}), report)
+        parse_mbox(path, report=report)
     assert report == IngestReport()
 
 
